@@ -4,16 +4,14 @@
 //! planning, decomposition, codegen, bytecode translation and the
 //! adaptive controller's compiles are on the timed path.
 
-use crate::closed::drive;
+use crate::closed::{drive, push_layers};
 use crate::corpus::{self, Entry, Oracle};
-use crate::layers;
 use crate::loadgen::closed_loop;
 use crate::stats::median;
-use crate::{peak_rss_mb, Outcome, RunConfig, SETUPS, THREADS};
+use crate::{peak_rss_mb, repeated_setup, Outcome, RunConfig, THREADS};
 use aqe_engine::exec::ExecOptions;
 use aqe_engine::session::Engine;
 use aqe_storage::Catalog;
-use std::time::Instant;
 
 const SF: f64 = 0.01;
 
@@ -37,15 +35,7 @@ fn setup() -> Result<(Catalog, Engine, Vec<Entry>), String> {
 
 pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
     let mut out = Outcome::default();
-    let mut setups = Vec::new();
-    let mut state = None;
-    for _ in 0..SETUPS {
-        drop(state.take());
-        let t = Instant::now();
-        state = Some(setup()?);
-        setups.push(t.elapsed().as_secs_f64());
-    }
-    let (cat, engine, entries) = state.expect("at least one setup");
+    let ((cat, engine, entries), setups) = repeated_setup(setup)?;
     let oracles: Vec<Oracle> =
         entries.iter().map(|e| e.oracle(&cat, (0, 1))).collect::<Result<_, _>>()?;
 
@@ -66,46 +56,14 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
         |r| (!r.cold_build).then(|| "a fresh preparation ran warm".to_string()),
     );
     res.summarize(entries.len(), &mut out, cfg.trace);
-    if !cfg.trace {
+    if cfg.trace {
+        // The thread sweep reuses prepared statements (and warms them).
+        let prepared: Vec<_> =
+            entries.iter().map(|e| e.prepare(&session)).collect::<Result<_, _>>()?;
+        push_layers(&mut out, &res, &cat, &engine, before, &entries, &oracles, &prepared, 0, 3)?;
+    } else {
         out.push("setup_s", median(&setups), "s");
         out.push("peak_rss_mb", peak_rss_mb(), "MiB");
-        return Ok(out);
     }
-
-    layers::push_session_layers(&mut out, &engine, before);
-    let mut planned = vec![0.0; entries.len()];
-    let mut built = vec![0.0; entries.len()];
-    let mut drawn = vec![0.0; entries.len()];
-    for r in &res.records {
-        drawn[r.entry] += 1.0;
-        built[r.entry] += f64::from(u8::from(r.cold_build));
-        if matches!(entries[r.entry].source, corpus::Source::Sql(_)) {
-            planned[r.entry] += 1.0;
-        }
-    }
-    let costs: Vec<_> =
-        entries.iter().map(|e| layers::module_cost(&cat, e, 3)).collect::<Result<_, _>>()?;
-    layers::push_build_layers(&mut out, &costs, &planned, &built, &drawn);
-    let reports: Vec<_> = res.reports.iter().map(|(_, r)| r.clone()).collect();
-    layers::push_report_layers(&mut out, &reports);
-    let check = |i: usize, p: Option<i64>, rows: &[u64]| {
-        oracles[i].expected(p).is_some_and(|want| want.matches(rows))
-    };
-    layers::tier_sweep(&engine, &entries, 0, &check, &mut out)?;
-    let prepared: Vec<_> = entries.iter().map(|e| e.prepare(&session)).collect::<Result<_, _>>()?;
-    out.push(
-        "sched.speedup_2t_over_1t",
-        layers::thread_speedup(&engine, &entries, &prepared, 0)?,
-        "ratio",
-    );
-    layers::floors(&cat, &mut out)?;
-    out.push(
-        "trace.overhead_frac",
-        layers::trace_overhead(
-            &res.per_entry(entries.len(), Some(true)),
-            &res.per_entry(entries.len(), Some(false)),
-        ),
-        "fraction",
-    );
     Ok(out)
 }

@@ -3,11 +3,14 @@
 //! the start of its preparation (or execution) to its rows, and checks
 //! every result against the oracle.
 
-use crate::corpus::Oracle;
+use crate::corpus::{Entry, Oracle, Source};
+use crate::layers;
 use crate::loadgen::Op;
 use crate::stats::{geomean_of_medians, quantile, sorted};
 use crate::{ms, Outcome};
 use aqe_engine::exec::{Report, ResultRows};
+use aqe_engine::session::{CacheStats, ConcurrencyStats, Engine, PreparedQuery};
+use aqe_storage::Catalog;
 use std::time::Instant;
 
 /// One timed operation.
@@ -70,7 +73,9 @@ impl LoopResult {
             self.attempted, self.elapsed_s, self.failed, self.wrong, self.violations
         ));
         let lat = |traced: bool| {
-            sorted(self.records.iter().filter(|r| r.ok && r.traced == traced).map(|r| r.ms).collect())
+            sorted(
+                self.records.iter().filter(|r| r.ok && r.traced == traced).map(|r| r.ms).collect(),
+            )
         };
         if trace {
             let untraced = lat(false);
@@ -126,11 +131,66 @@ pub fn drive(
             res.violations += 1;
             res.error(format!("entry {entry}: {v}"));
         }
-        res.records.push(OpRecord { entry, ms: elapsed, traced, ok, cold_build: report.cold_build });
+        res.records.push(OpRecord {
+            entry,
+            ms: elapsed,
+            traced,
+            ok,
+            cold_build: report.cold_build,
+        });
         if traced {
             res.reports.push((entry, report));
         }
     }
     res.elapsed_s = start.elapsed().as_secs_f64();
     res
+}
+
+/// The per-layer metrics of a traced closed-loop run: session counters
+/// since `before`, build layers weighted by what the timed operations
+/// built, scheduler and tier metrics from the traced reports, the Fig. 2
+/// tier sweep, the thread sweep over `prepared`, the floors, and the
+/// tracing overhead. `param` binds parameterized entries in the sweeps;
+/// `reps` is how often each module's build layers are timed.
+#[allow(clippy::too_many_arguments)]
+pub fn push_layers(
+    out: &mut Outcome,
+    res: &LoopResult,
+    cat: &Catalog,
+    engine: &Engine,
+    before: (CacheStats, ConcurrencyStats),
+    entries: &[Entry],
+    oracles: &[Oracle],
+    prepared: &[PreparedQuery],
+    param: i64,
+    reps: usize,
+) -> Result<(), String> {
+    layers::push_session_layers(out, engine, before);
+    let n = entries.len();
+    let (mut planned, mut built, mut drawn) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    for r in &res.records {
+        drawn[r.entry] += 1.0;
+        if r.cold_build {
+            built[r.entry] += 1.0;
+            if matches!(entries[r.entry].source, Source::Sql(_)) {
+                planned[r.entry] += 1.0;
+            }
+        }
+    }
+    let costs: Vec<_> =
+        entries.iter().map(|e| layers::module_cost(cat, e, reps)).collect::<Result<_, _>>()?;
+    layers::push_build_layers(out, &costs, &planned, &built, &drawn);
+    let reports: Vec<_> = res.reports.iter().map(|(_, r)| r.clone()).collect();
+    layers::push_report_layers(out, &reports);
+    let check = |i: usize, p: Option<i64>, rows: &[u64]| {
+        oracles[i].expected(p).is_some_and(|want| want.matches(rows))
+    };
+    layers::tier_sweep(engine, entries, param, &check, out)?;
+    let speedup = layers::thread_speedup(engine, entries, prepared, param)?;
+    out.push("sched.speedup_2t_over_1t", speedup, "ratio");
+    layers::floors(cat, out)?;
+    let overhead =
+        layers::trace_overhead(&res.per_entry(n, Some(true)), &res.per_entry(n, Some(false)));
+    out.push("trace.overhead_frac", overhead, "fraction");
+    Ok(())
 }

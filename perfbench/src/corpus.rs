@@ -162,7 +162,9 @@ pub fn adhoc(cat: &Catalog) -> Vec<Entry> {
     out.extend(tpcds::all(cat).into_iter().map(Entry::plan));
     out.extend([10, 100, 400].map(|n| Entry::plan(synthetic::wide_agg(n))));
     out.extend(
-        SQL_TEXTS.iter().map(|(name, sql)| Entry { name: name.to_string(), source: Source::Sql(sql) }),
+        SQL_TEXTS
+            .iter()
+            .map(|(name, sql)| Entry { name: name.to_string(), source: Source::Sql(sql) }),
     );
     out
 }

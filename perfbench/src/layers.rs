@@ -22,6 +22,9 @@ pub const TIERS: [(ExecMode, &str, u8); 5] = [
     (ExecMode::Simd, "simd", 5),
 ];
 
+/// Whether entry `i` bound to `p` returned the oracle's rows.
+pub type RowCheck<'a> = dyn Fn(usize, Option<i64>, &[u64]) -> bool + 'a;
+
 /// Trace kind of a background compilation event.
 const KIND_COMPILE: u8 = 255;
 
@@ -47,7 +50,11 @@ pub fn module_cost(cat: &Catalog, entry: &Entry, reps: usize) -> Result<ModuleCo
     for _ in 0..reps.max(1) {
         let t = Instant::now();
         let (root, dicts) = entry.tree(cat)?;
-        let sql = if matches!(entry.source, crate::corpus::Source::Sql(_)) { us(t.elapsed()) } else { 0.0 };
+        let sql = if matches!(entry.source, crate::corpus::Source::Sql(_)) {
+            us(t.elapsed())
+        } else {
+            0.0
+        };
         let t = Instant::now();
         let phys = decompose(cat, &root, dicts);
         let dec = us(t.elapsed());
@@ -131,12 +138,13 @@ pub fn tier_sweep(
     engine: &Engine,
     entries: &[Entry],
     param: i64,
-    check: &dyn Fn(usize, Option<i64>, &[u64]) -> bool,
+    check: &RowCheck<'_>,
     out: &mut Outcome,
 ) -> Result<(), String> {
     let session = engine.session();
     for (mode, label, _) in TIERS {
-        let opts = ExecOptions { mode, threads: THREADS, cache_results: false, ..Default::default() };
+        let opts =
+            ExecOptions { mode, threads: THREADS, cache_results: false, ..Default::default() };
         let (mut compile_ms, mut exec_ms) = (Vec::new(), Vec::new());
         for (i, e) in entries.iter().enumerate() {
             let p = e.takes_param().then_some(param);
@@ -246,9 +254,8 @@ pub fn floors(cat: &Catalog, out: &mut Outcome) -> Result<(), String> {
     });
     let mut plain_sum = 0i64;
     let plain_scan = time(&mut || {
-        plain_sum = std::hint::black_box(prices.as_slice())
-            .iter()
-            .fold(0i64, |a, &v| a.wrapping_add(v));
+        plain_sum =
+            std::hint::black_box(prices.as_slice()).iter().fold(0i64, |a, &v| a.wrapping_add(v));
     });
     if let Some(e) = err {
         return Err(format!("floor query failed: {e}"));
@@ -317,7 +324,11 @@ pub fn push_report_layers(out: &mut Outcome, reports: &[Report]) {
     );
     out.push(
         "sched.worker_imbalance",
-        if imbalance.is_empty() { 0.0 } else { imbalance.iter().sum::<f64>() / imbalance.len() as f64 },
+        if imbalance.is_empty() {
+            0.0
+        } else {
+            imbalance.iter().sum::<f64>() / imbalance.len() as f64
+        },
         "ratio",
     );
 
@@ -345,7 +356,11 @@ pub fn push_report_layers(out: &mut Outcome, reports: &[Report]) {
 }
 
 /// Session-layer counters accumulated since `before`.
-pub fn push_session_layers(out: &mut Outcome, engine: &Engine, before: (CacheStats, ConcurrencyStats)) {
+pub fn push_session_layers(
+    out: &mut Outcome,
+    engine: &Engine,
+    before: (CacheStats, ConcurrencyStats),
+) {
     let (c0, k0) = before;
     let (c1, k1) = (engine.cache_stats(), engine.concurrency());
     let lookups = (c1.hits - c0.hits) + (c1.misses - c0.misses);

@@ -6,7 +6,8 @@
 //!   at SF 0.01, every draw freshly prepared: the compile-dominated
 //!   small-data regime;
 //! * `warm-exec` ([`warm`]) — closed loop over prepared, warmed TPC-H
-//!   queries at SF 0.1: execution tiers only, no compile on the timed path;
+//!   queries at SF 0.1: execution only, no codegen or translation on the
+//!   timed path;
 //! * `served-mixed` ([`served`]) — open loop against the front-door server
 //!   with result-cache hits, warm misses and catalog writes.
 //!
@@ -28,7 +29,7 @@ pub mod served;
 pub mod stats;
 pub mod warm;
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One metric of a run: name, value, unit.
 #[derive(Clone, Debug)]
@@ -155,6 +156,21 @@ pub const PER_LAYER: [(&str, &str); 58] = [
 /// Set-ups per run; `setup_s` is their median.
 pub const SETUPS: usize = 3;
 
+/// Run `setup` [`SETUPS`] times; returns the last state and every
+/// set-up's duration in seconds (earlier states are dropped first).
+pub fn repeated_setup<T>(
+    mut setup: impl FnMut() -> Result<T, String>,
+) -> Result<(T, Vec<f64>), String> {
+    let (mut state, mut times) = (None, Vec::new());
+    for _ in 0..SETUPS {
+        drop(state.take());
+        let t = Instant::now();
+        state = Some(setup()?);
+        times.push(t.elapsed().as_secs_f64());
+    }
+    Ok((state.expect("SETUPS > 0"), times))
+}
+
 pub fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
@@ -168,9 +184,9 @@ pub fn peak_rss_mb() -> f64 {
     std::fs::read_to_string("/proc/self/status")
         .ok()
         .and_then(|s| {
-            s.lines().find(|l| l.starts_with("VmHWM:")).and_then(|l| {
-                l.split_whitespace().nth(1).and_then(|kb| kb.parse::<f64>().ok())
-            })
+            s.lines()
+                .find(|l| l.starts_with("VmHWM:"))
+                .and_then(|l| l.split_whitespace().nth(1).and_then(|kb| kb.parse::<f64>().ok()))
         })
         .map_or(0.0, |kb| kb / 1024.0)
 }

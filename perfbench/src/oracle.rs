@@ -26,10 +26,6 @@ impl Expected {
         flat.len() == self.rows.len() * self.width
             && normalize(flat, self.width, self.sorted_output) == self.rows
     }
-
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
 }
 
 fn normalize(flat: &[u64], width: usize, sorted_output: bool) -> Vec<Vec<u64>> {

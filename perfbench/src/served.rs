@@ -175,8 +175,10 @@ impl Running {
             other => Err(format!("execute: {other:?}")),
         }
     }
+}
 
-    fn stop(&mut self) {
+impl Drop for Running {
+    fn drop(&mut self) {
         if let Some(s) = self.stream.take() {
             let _ = s.shutdown(Shutdown::Both);
         }
@@ -190,21 +192,14 @@ impl Running {
     }
 }
 
-impl Drop for Running {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
 /// Statement ids on the connection, by corpus entry.
 const STMT_IDS: [u64; 2] = [1, 2];
 
 /// Data generation, server start-up, connection, statement preparation,
 /// and a warm-up round of both statements.
-fn setup(cat: &mut Option<Catalog>) -> Result<Running, String> {
+fn setup() -> Result<(Catalog, Running), String> {
     let data = aqe_storage::tpch::generate(SF);
     let engine = Arc::new(Engine::with_defaults(data.clone(), server_options()));
-    *cat = Some(data);
     let mut run = Running::start(engine)?;
     for (id, sql) in STMT_IDS.iter().zip([LIGHT_SQL, GROUP_SQL]) {
         run.prepare(*id, sql)?;
@@ -214,7 +209,7 @@ fn setup(cat: &mut Option<Catalog>) -> Result<Running, String> {
             run.execute(id, 300 + 250 * k)?;
         }
     }
-    Ok(run)
+    Ok((data, run))
 }
 
 /// What one open-loop phase observed.
@@ -426,13 +421,12 @@ fn untraced(cfg: &RunConfig) -> Result<Outcome, String> {
     let mut oracles: Option<Vec<Oracle>> = None;
     let (mut setups, mut rows) = (Vec::new(), Vec::new());
     for k in 0..INSTANCES {
-        let mut cat = None;
         let t = Instant::now();
-        let mut run = setup(&mut cat)?;
+        let (cat, mut run) = setup()?;
         setups.push(t.elapsed().as_secs_f64());
         if oracles.is_none() {
-            let cat = cat.expect("catalog");
-            oracles = Some(entries.iter().map(|e| e.oracle(&cat, range)).collect::<Result<_, _>>()?);
+            oracles =
+                Some(entries.iter().map(|e| e.oracle(&cat, range)).collect::<Result<_, _>>()?);
         }
         let oracles = oracles.as_deref().expect("oracles");
         let schedule = open_loop(instance_seed(cfg.seed, k), &mix(NOMINAL_QPS), slice);
@@ -463,9 +457,7 @@ pub fn instance_seed(seed: u64, k: u64) -> u64 {
 /// capacity ladder.
 fn traced(cfg: &RunConfig) -> Result<Outcome, String> {
     let mut out = Outcome::default();
-    let mut cat = None;
-    let mut run = setup(&mut cat)?;
-    let cat = cat.expect("catalog");
+    let (cat, mut run) = setup()?;
     let entries = entries();
     let range = mix(NOMINAL_QPS).param_range;
     let oracles: Vec<Oracle> =
@@ -598,7 +590,10 @@ fn in_process_overhead(
         diffs.push(served - ms(t.elapsed()));
         if !oracles[i].expected(Some(v)).is_some_and(|w| w.matches(&rows.rows)) {
             out.violations += 1;
-            out.note(format!("error: in-process {} value {v} differs from the oracle", entries[i].name));
+            out.note(format!(
+                "error: in-process {} value {v} differs from the oracle",
+                entries[i].name
+            ));
         }
     }
     Ok(median(&diffs))

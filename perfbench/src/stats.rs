@@ -46,6 +46,8 @@ mod tests {
         assert_eq!(quantile(&s, 1.0), 4.0);
         assert!((quantile(&s, 0.5) - 2.5).abs() < 1e-12);
         assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert!((geomean_of_medians(&[vec![1.0, 1.0, 9.0], vec![], vec![4.0]]) - 2.0).abs() < 1e-12);
+        assert!(
+            (geomean_of_medians(&[vec![1.0, 1.0, 9.0], vec![], vec![4.0]]) - 2.0).abs() < 1e-12
+        );
     }
 }

@@ -4,16 +4,14 @@
 //! cache off). The timed path must do no codegen and no bytecode
 //! translation; every report is checked for that.
 
-use crate::closed::drive;
+use crate::closed::{drive, push_layers};
 use crate::corpus::{self, Entry, Oracle};
-use crate::layers;
 use crate::loadgen::closed_loop;
 use crate::stats::median;
-use crate::{peak_rss_mb, Outcome, RunConfig, SETUPS, THREADS};
+use crate::{peak_rss_mb, repeated_setup, Outcome, RunConfig, THREADS};
 use aqe_engine::exec::ExecOptions;
 use aqe_engine::session::{Engine, PreparedQuery};
 use aqe_storage::Catalog;
-use std::time::Instant;
 
 const SF: f64 = 0.1;
 
@@ -42,7 +40,11 @@ fn setup() -> Result<(Catalog, Engine, Vec<Entry>, Vec<PreparedQuery>), String> 
         let mut quiet = 0;
         for _ in 0..MAX_WARMUPS {
             let (_, r) = e.execute(&session, &p, param, &options())?;
-            quiet = if r.background_compiles == 0 && r.upfront_compile.is_zero() { quiet + 1 } else { 0 };
+            quiet = if r.background_compiles == 0 && r.upfront_compile.is_zero() {
+                quiet + 1
+            } else {
+                0
+            };
             if quiet == SETTLED_RUNS {
                 break;
             }
@@ -54,15 +56,7 @@ fn setup() -> Result<(Catalog, Engine, Vec<Entry>, Vec<PreparedQuery>), String> 
 
 pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
     let mut out = Outcome::default();
-    let mut setups = Vec::new();
-    let mut state = None;
-    for _ in 0..SETUPS {
-        drop(state.take());
-        let t = Instant::now();
-        state = Some(setup()?);
-        setups.push(t.elapsed().as_secs_f64());
-    }
-    let (cat, engine, entries, prepared) = state.expect("at least one setup");
+    let ((cat, engine, entries, prepared), setups) = repeated_setup(setup)?;
     let oracles: Vec<Oracle> =
         entries.iter().map(|e| e.oracle(&cat, Q6_RANGE)).collect::<Result<_, _>>()?;
     let param_entry = entries.iter().position(Entry::takes_param);
@@ -77,50 +71,26 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
         cfg.seconds,
         cfg.trace,
         |i, param, traced| {
-            entries[i].execute(&session, &prepared[i], param, if traced { &traced_opts } else { &opts })
+            let opts = if traced { &traced_opts } else { &opts };
+            entries[i].execute(&session, &prepared[i], param, opts)
         },
         |r| {
             (r.cold_build || !r.codegen.is_zero() || !r.bc_translate.is_zero()).then(|| {
-                format!("warm path built code: codegen {:?}, translate {:?}", r.codegen, r.bc_translate)
+                format!(
+                    "warm path built code: codegen {:?}, translate {:?}",
+                    r.codegen, r.bc_translate
+                )
             })
         },
     );
     res.summarize(entries.len(), &mut out, cfg.trace);
-    if !cfg.trace {
+    if cfg.trace {
+        push_layers(
+            &mut out, &res, &cat, &engine, before, &entries, &oracles, &prepared, Q6_RANGE.0, 1,
+        )?;
+    } else {
         out.push("setup_s", median(&setups), "s");
         out.push("peak_rss_mb", peak_rss_mb(), "MiB");
-        return Ok(out);
     }
-
-    layers::push_session_layers(&mut out, &engine, before);
-    let mut built = vec![0.0; entries.len()];
-    let mut drawn = vec![0.0; entries.len()];
-    for r in &res.records {
-        drawn[r.entry] += 1.0;
-        built[r.entry] += f64::from(u8::from(r.cold_build));
-    }
-    let costs: Vec<_> =
-        entries.iter().map(|e| layers::module_cost(&cat, e, 1)).collect::<Result<_, _>>()?;
-    layers::push_build_layers(&mut out, &costs, &vec![0.0; entries.len()], &built, &drawn);
-    let reports: Vec<_> = res.reports.iter().map(|(_, r)| r.clone()).collect();
-    layers::push_report_layers(&mut out, &reports);
-    let check = |i: usize, p: Option<i64>, rows: &[u64]| {
-        oracles[i].expected(p).is_some_and(|want| want.matches(rows))
-    };
-    layers::tier_sweep(&engine, &entries, Q6_RANGE.0, &check, &mut out)?;
-    out.push(
-        "sched.speedup_2t_over_1t",
-        layers::thread_speedup(&engine, &entries, &prepared, Q6_RANGE.0)?,
-        "ratio",
-    );
-    layers::floors(&cat, &mut out)?;
-    out.push(
-        "trace.overhead_frac",
-        layers::trace_overhead(
-            &res.per_entry(entries.len(), Some(true)),
-            &res.per_entry(entries.len(), Some(false)),
-        ),
-        "fraction",
-    );
     Ok(out)
 }
