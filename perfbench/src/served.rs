@@ -8,8 +8,8 @@
 //! was due, so queueing shows (no coordinated omission).
 //!
 //! The generator speaks `aqe_server::protocol` over a socket split
-//! between two threads (this one spins until each request is due and
-//! sends it, a reader thread timestamps replies) rather than through
+//! between two threads (this one sends each request when it is due, a
+//! reader thread timestamps replies) rather than through
 //! `aqe_server::Client`: the client waits for replies with `SO_RCVTIMEO`,
 //! whose timer-tick granularity made the generator send up to 10 ms late.
 
@@ -43,7 +43,7 @@ pub const NOMINAL_QPS: f64 = 400.0;
 /// The workload's latency limit for `max_qps_at_slo` (p99).
 pub const SLO_MS: f64 = 20.0;
 /// Offered rates of the capacity ladder, as multiples of the nominal.
-const LADDER: [f64; 4] = [1.0, 2.0, 3.0, 4.0];
+const LADDER: [f64; 6] = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
 /// Replies still missing this long after the last request was due count
 /// as failed.
 const DRAIN: Duration = Duration::from_secs(5);
@@ -104,6 +104,9 @@ impl Running {
         };
         let stream = TcpStream::connect(run.handle.addr()).map_err(|e| format!("connect: {e}"))?;
         stream.set_nodelay(true).map_err(|e| format!("nodelay: {e}"))?;
+        // Non-blocking (for both halves: they share one file description),
+        // so neither load thread ever blocks; see `drive`.
+        stream.set_nonblocking(true).map_err(|e| format!("nonblocking: {e}"))?;
         let mut read_half = stream.try_clone().map_err(|e| format!("clone socket: {e}"))?;
         let (tx, rx) = channel();
         run.stream = Some(stream);
@@ -127,6 +130,7 @@ impl Running {
                 match read_half.read(&mut chunk) {
                     Ok(0) => return,
                     Ok(n) => buf.extend(&chunk[..n]),
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::yield_now(),
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(_) => return,
                 }
@@ -137,7 +141,18 @@ impl Running {
 
     fn send(&mut self, req: &Request) -> Result<(), String> {
         let stream = self.stream.as_mut().ok_or("not connected")?;
-        stream.write_all(&req.encode()).map_err(|e| format!("send: {e}"))
+        let frame = req.encode();
+        let mut sent = 0;
+        while sent < frame.len() {
+            match stream.write(&frame[sent..]) {
+                Ok(0) => return Err("send: connection closed".into()),
+                Ok(n) => sent += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::yield_now(),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(format!("send: {e}")),
+            }
+        }
+        Ok(())
     }
 
     fn reply(&self, timeout: Duration) -> Result<Option<Reply>, String> {
@@ -299,14 +314,16 @@ fn drive(run: &mut Running, oracles: &[Oracle], schedule: &[Scheduled], record: 
     let start = Instant::now();
     for s in schedule {
         let due = start + s.due;
-        // Spin until due, taking replies that arrive meanwhile. Sleeping
-        // instead lets the vCPU halt, and on a virtual machine waking it
-        // again costs up to milliseconds of host scheduling latency,
-        // which then shows up as server latency.
+        // Poll until due, yielding between polls, taking replies that
+        // arrive meanwhile. Both load threads poll rather than block:
+        // a blocked thread lets its vCPU halt, and on a virtual machine
+        // waking it again costs up to milliseconds of host scheduling
+        // latency, which would show up as server latency. Yielding hands
+        // the CPU to any runnable server thread at once.
         while Instant::now() < due {
             match run.try_reply() {
                 Ok(Some(r)) => absorb(&mut ph, oracles, &mut outstanding, r, record),
-                Ok(None) => std::hint::spin_loop(),
+                Ok(None) => std::thread::yield_now(),
                 Err(e) => {
                     ph.error(e);
                     std::thread::sleep(due.saturating_duration_since(Instant::now()));
@@ -477,24 +494,6 @@ fn traced(cfg: &RunConfig) -> Result<Outcome, String> {
     out.push("server.shed", (run.engine.server_stats().shed - shed_before) as f64, "count");
     out.push("server.queued_peak", ph.queued_peak as f64, "count");
     out.push("loadgen.lag_p99_ms", quantile(&sorted(ph.lag.clone()), 0.99), "ms");
-    let (enc, dec) = frame_costs(&ph.requests, &ph.responses);
-    out.push("server.frame_encode_us", enc, "us");
-    out.push("server.frame_decode_us", dec, "us");
-    let overhead = in_process_overhead(&run.engine, &entries, &oracles, &ph.pairs, &mut out)?;
-    out.push("server.overhead_ms", overhead, "ms");
-    // Reports do not cross the protocol: scheduler and tier metrics come
-    // from traced in-process executions of the recorded bindings (result
-    // cache off, so every one runs its morsels).
-    let reports = traced_in_process(&run.engine, &entries, &ph.pairs)?;
-    layers::push_report_layers(&mut out, &reports);
-
-    // Cold builds on the served path happen after writes, one per
-    // statement; spread them evenly. SQL is planned once, at prepare.
-    let costs: Vec<_> =
-        entries.iter().map(|e| layers::module_cost(&cat, e, 3)).collect::<Result<_, _>>()?;
-    let share = vec![cold / entries.len() as f64; entries.len()];
-    let drawn: Vec<f64> = ph.latency.iter().map(|l| l.len() as f64).collect();
-    layers::push_build_layers(&mut out, &costs, &vec![0.0; entries.len()], &share, &drawn);
 
     // Capacity ladder: the highest offered rate whose p99 meets the SLO
     // with nothing shed and no growing backlog. The ladder stops at the
@@ -524,18 +523,38 @@ fn traced(cfg: &RunConfig) -> Result<Outcome, String> {
     }
     out.push("max_qps_at_slo", best, "1/s");
 
-    let engine = &run.engine;
+    // The in-process probes run on the server's engine with the server
+    // and the polling load threads stopped.
+    let engine = run.engine.clone();
+    drop(run);
+    let (enc, dec) = frame_costs(&ph.requests, &ph.responses);
+    out.push("server.frame_encode_us", enc, "us");
+    out.push("server.frame_decode_us", dec, "us");
+    let overhead = in_process_overhead(&engine, &entries, &oracles, &ph.pairs, &mut out)?;
+    out.push("server.overhead_ms", overhead, "ms");
+    // Reports do not cross the protocol: scheduler and tier metrics come
+    // from traced in-process executions of the recorded bindings (result
+    // cache off, so every one runs its morsels).
+    let reports = traced_in_process(&engine, &entries, &ph.pairs)?;
+    layers::push_report_layers(&mut out, &reports);
+
+    // Cold builds on the served path happen after writes, one per
+    // statement; spread them evenly. SQL is planned once, at prepare.
+    let costs: Vec<_> =
+        entries.iter().map(|e| layers::module_cost(&cat, e, 3)).collect::<Result<_, _>>()?;
+    let share = vec![cold / entries.len() as f64; entries.len()];
+    let drawn: Vec<f64> = ph.latency.iter().map(|l| l.len() as f64).collect();
+    layers::push_build_layers(&mut out, &costs, &vec![0.0; entries.len()], &share, &drawn);
+
     let check = |i: usize, p: Option<i64>, rows: &[u64]| {
         oracles[i].expected(p).is_some_and(|want| want.matches(rows))
     };
-    layers::tier_sweep(engine, &entries, range.0 + 1000, &check, &mut out)?;
+    let param = range.0 + 1000;
+    layers::tier_sweep(&engine, &entries, param, &check, &mut out)?;
     let session = engine.session();
     let prepared: Vec<_> = entries.iter().map(|e| e.prepare(&session)).collect::<Result<_, _>>()?;
-    out.push(
-        "sched.speedup_2t_over_1t",
-        layers::thread_speedup(engine, &entries, &prepared, range.0 + 1000)?,
-        "ratio",
-    );
+    let speedup = layers::thread_speedup(&engine, &entries, &prepared, param)?;
+    out.push("sched.speedup_2t_over_1t", speedup, "ratio");
     layers::floors(&cat, &mut out)?;
     Ok(out)
 }
