@@ -396,7 +396,7 @@ fn drive(run: &mut Running, oracles: &[Oracle], schedule: &[Scheduled], record: 
 /// that instance serves from bytecode for the rest of its life; taking
 /// each metric's median over instances keeps one such instance from
 /// deciding the run.
-const INSTANCES: u64 = 5;
+const INSTANCES: u64 = 10;
 
 pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
     if cfg.trace {
