@@ -29,8 +29,8 @@ pub struct OpRecord {
 #[derive(Default)]
 pub struct LoopResult {
     pub records: Vec<OpRecord>,
-    /// Reports of the traced operations, with their entry.
-    pub reports: Vec<(usize, Report)>,
+    /// Reports of the traced operations.
+    pub reports: Vec<Report>,
     pub attempted: u64,
     pub failed: u64,
     pub wrong: u64,
@@ -139,7 +139,7 @@ pub fn drive(
             cold_build: report.cold_build,
         });
         if traced {
-            res.reports.push((entry, report));
+            res.reports.push(report);
         }
     }
     res.elapsed_s = start.elapsed().as_secs_f64();
@@ -180,8 +180,7 @@ pub fn push_layers(
     let costs: Vec<_> =
         entries.iter().map(|e| layers::module_cost(cat, e, reps)).collect::<Result<_, _>>()?;
     layers::push_build_layers(out, &costs, &planned, &built, &drawn);
-    let reports: Vec<_> = res.reports.iter().map(|(_, r)| r.clone()).collect();
-    layers::push_report_layers(out, &reports);
+    layers::push_report_layers(out, &res.reports);
     let check = |i: usize, p: Option<i64>, rows: &[u64]| {
         oracles[i].expected(p).is_some_and(|want| want.matches(rows))
     };
