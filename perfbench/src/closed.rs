@@ -1,4 +1,4 @@
-//! The closed-loop driver shared by `adhoc-cold` and `warm-exec`: one
+//! The closed-loop runner shared by `adhoc-cold` and `warm-exec`: one
 //! client runs the generated operations back to back, times each from
 //! the start of its preparation (or execution) to its rows, and checks
 //! every result against the oracle.
