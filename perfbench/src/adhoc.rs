@@ -6,6 +6,7 @@
 
 use crate::closed::{drive, push_layers};
 use crate::corpus::{self, Entry, Oracle};
+use crate::layers;
 use crate::loadgen::closed_loop;
 use crate::stats::median;
 use crate::{peak_rss_mb, repeated_setup, Outcome, RunConfig, THREADS};
@@ -42,7 +43,7 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
     let session = engine.session();
     let opts = options();
     let traced_opts = ExecOptions { trace: true, ..options() };
-    let before = (engine.cache_stats(), engine.concurrency());
+    let before = layers::counters(&engine);
     let res = drive(
         &oracles,
         closed_loop(cfg.seed, entries.len(), None, (0, 1)),

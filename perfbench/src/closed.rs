@@ -4,12 +4,13 @@
 //! every result against the oracle.
 
 use crate::corpus::{Entry, Oracle, Source};
-use crate::layers;
+use crate::layers::{self, Counters};
 use crate::loadgen::Op;
 use crate::stats::{geomean_of_medians, quantile, sorted};
-use crate::{ms, Outcome};
+use crate::Outcome;
+use aqe_bench::ms;
 use aqe_engine::exec::{Report, ResultRows};
-use aqe_engine::session::{CacheStats, ConcurrencyStats, Engine, PreparedQuery};
+use aqe_engine::session::{Engine, PreparedQuery};
 use aqe_storage::Catalog;
 use std::time::Instant;
 
@@ -35,15 +36,17 @@ pub struct LoopResult {
     pub failed: u64,
     pub wrong: u64,
     pub violations: u64,
+    /// Operations that returned an error (a subset of `failed`).
+    pub errors: u64,
     pub elapsed_s: f64,
     /// The first few failures, for the log.
-    pub errors: Vec<String>,
+    pub messages: Vec<String>,
 }
 
 impl LoopResult {
     fn error(&mut self, e: String) {
-        if self.errors.len() < 5 {
-            self.errors.push(e);
+        if self.messages.len() < 5 {
+            self.messages.push(e);
         }
     }
 
@@ -65,13 +68,21 @@ impl LoopResult {
         out.failed += self.failed;
         out.wrong += self.wrong;
         out.violations += self.violations;
-        for e in &self.errors {
+        out.errors += self.errors;
+        for e in &self.messages {
             out.note(format!("error: {e}"));
         }
         out.note(format!(
-            "timed ops {} in {:.2} s, failed {}, wrong {}, violations {}",
-            self.attempted, self.elapsed_s, self.failed, self.wrong, self.violations
+            "timed ops {} in {:.2} s, failed {}, wrong {}, errors {}, violations {}",
+            self.attempted, self.elapsed_s, self.failed, self.wrong, self.errors, self.violations
         ));
+        // An entry without a correct sample would silently drop out of
+        // `geomean_ms`; that fails the run instead.
+        let per_entry = self.per_entry(entries, None);
+        for (i, _) in per_entry.iter().enumerate().filter(|(_, g)| g.is_empty()) {
+            out.violations += 1;
+            out.note(format!("error: entry {i} has no correct timed result"));
+        }
         let lat = |traced: bool| {
             sorted(
                 self.records.iter().filter(|r| r.ok && r.traced == traced).map(|r| r.ms).collect(),
@@ -83,7 +94,7 @@ impl LoopResult {
             out.push("latency_p99_ms", quantile(&untraced, 0.99), "ms");
         } else {
             let ok = self.records.iter().filter(|r| r.ok).count();
-            out.push("geomean_ms", geomean_of_medians(&self.per_entry(entries, None)), "ms");
+            out.push("geomean_ms", geomean_of_medians(&per_entry), "ms");
             out.push("latency_p50_ms", quantile(&lat(false), 0.50), "ms");
             out.push("throughput_qps", ok as f64 / self.elapsed_s, "1/s");
         }
@@ -117,7 +128,8 @@ pub fn drive(
             Ok(x) => x,
             Err(e) => {
                 res.failed += 1;
-                res.error(e);
+                res.errors += 1;
+                res.error(format!("entry {entry} param {param:?}: {e}"));
                 continue;
             }
         };
@@ -158,14 +170,14 @@ pub fn push_layers(
     res: &LoopResult,
     cat: &Catalog,
     engine: &Engine,
-    before: (CacheStats, ConcurrencyStats),
+    before: Counters,
     entries: &[Entry],
     oracles: &[Oracle],
     prepared: &[PreparedQuery],
     param: i64,
     reps: usize,
 ) -> Result<(), String> {
-    layers::push_session_layers(out, engine, before);
+    layers::push_session_layers(out, &[(before, layers::counters(engine))]);
     let n = entries.len();
     let (mut planned, mut built, mut drawn) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
     for r in &res.records {

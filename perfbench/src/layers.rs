@@ -4,8 +4,9 @@
 //! code is instrumented for the benchmark.
 
 use crate::corpus::Entry;
-use crate::stats::{geomean, median};
-use crate::{ms, us, Outcome, THREADS};
+use crate::stats::median;
+use crate::{us, Outcome, THREADS};
+use aqe_bench::{geomean, ms};
 use aqe_engine::exec::{ExecMode, ExecOptions, Report};
 use aqe_engine::plan::{decompose, AggFunc, AggSpec, PExpr, PlanNode};
 use aqe_engine::session::{CacheStats, ConcurrencyStats, Engine, PreparedQuery};
@@ -355,23 +356,29 @@ pub fn push_report_layers(out: &mut Outcome, reports: &[Report]) {
     );
 }
 
-/// Session-layer counters accumulated since `before`.
-pub fn push_session_layers(
-    out: &mut Outcome,
-    engine: &Engine,
-    before: (CacheStats, ConcurrencyStats),
-) {
-    let (c0, k0) = before;
-    let (c1, k1) = (engine.cache_stats(), engine.concurrency());
-    let lookups = (c1.hits - c0.hits) + (c1.misses - c0.misses);
+/// Session-layer counters of an engine at one moment.
+pub type Counters = (CacheStats, ConcurrencyStats);
+
+pub fn counters(engine: &Engine) -> Counters {
+    (engine.cache_stats(), engine.concurrency())
+}
+
+/// Session-layer metrics summed over `spans`, each the counters of one
+/// engine before and after a measured phase.
+pub fn push_session_layers(out: &mut Outcome, spans: &[(Counters, Counters)]) {
+    let sum = |f: &dyn Fn(&Counters) -> u64| -> f64 {
+        spans.iter().map(|(before, after)| f(after) - f(before)).sum::<u64>() as f64
+    };
+    let hits = sum(&|c| c.0.hits);
+    let lookups = hits + sum(&|c| c.0.misses);
     out.push(
         "session.result_cache_hit_frac",
-        if lookups == 0 { 0.0 } else { (c1.hits - c0.hits) as f64 / lookups as f64 },
+        if lookups == 0.0 { 0.0 } else { hits / lookups },
         "fraction",
     );
-    out.push("session.cold_builds", (k1.cold_builds - k0.cold_builds) as f64, "count");
-    out.push("session.snapshot_swaps", (k1.snapshot_swaps - k0.snapshot_swaps) as f64, "count");
-    out.push("session.cache_evictions", (c1.evictions - c0.evictions) as f64, "count");
+    out.push("session.cold_builds", sum(&|c| c.1.cold_builds), "count");
+    out.push("session.snapshot_swaps", sum(&|c| c.1.snapshot_swaps), "count");
+    out.push("session.cache_evictions", sum(&|c| c.0.evictions), "count");
 }
 
 /// `trace.overhead_frac`: traced over untraced geomean of per-entry

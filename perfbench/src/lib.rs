@@ -51,12 +51,25 @@ pub struct Outcome {
     pub wrong: u64,
     /// Violations of a workload invariant (e.g. codegen on the warm path).
     pub violations: u64,
+    /// Operations that failed with an error (a subset of `failed`): any
+    /// failure in a closed loop; in the open loop, any but a request
+    /// refused or dropped under load. A failed operation leaves no latency
+    /// sample, so without this a query that stopped working would drop
+    /// out of the latency metrics (and a slow one would read as a
+    /// speed-up).
+    pub errors: u64,
     pub metrics: Vec<Metric>,
     /// Human-readable lines printed before the result.
     pub notes: Vec<String>,
 }
 
 impl Outcome {
+    /// Every result matched the oracle, no invariant broke and nothing
+    /// failed that may not.
+    pub fn correct(&self) -> bool {
+        self.wrong == 0 && self.violations == 0 && self.errors == 0
+    }
+
     pub fn push(&mut self, name: &str, value: f64, unit: &'static str) {
         self.metrics.push(Metric { name: name.to_string(), value, unit });
     }
@@ -92,7 +105,7 @@ pub const END_TO_END: [(&str, &str); 5] = [
 /// reports 0). The latency tail rides here rather than among the
 /// end-to-end metrics: on a two-vCPU virtual machine it moves with the
 /// host's CPU steal by more than any useful regression bound.
-pub const PER_LAYER: [(&str, &str); 58] = [
+pub const PER_LAYER: [(&str, &str); 60] = [
     ("latency_p95_ms", "ms"),
     ("latency_p99_ms", "ms"),
     ("sql.plan_us", "us"),
@@ -148,7 +161,9 @@ pub const PER_LAYER: [(&str, &str); 58] = [
     ("server.overhead_ms", "ms"),
     ("server.shed", "count"),
     ("server.queued_peak", "count"),
+    ("server.capacity_qps", "1/s"),
     ("max_qps_at_slo", "1/s"),
+    ("served.latched_frac", "fraction"),
     ("loadgen.lag_p99_ms", "ms"),
     ("trace.overhead_frac", "fraction"),
 ];
@@ -169,10 +184,6 @@ pub fn repeated_setup<T>(
         times.push(t.elapsed().as_secs_f64());
     }
     Ok((state.expect("SETUPS > 0"), times))
-}
-
-pub fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
 }
 
 pub fn us(d: Duration) -> f64 {

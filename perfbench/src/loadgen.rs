@@ -64,15 +64,14 @@ impl Iterator for ClosedLoop {
 /// parameterized scan-aggregate, entry 1 the group-by statement.
 #[derive(Clone, Debug)]
 pub struct Mix {
-    /// Offered query rate; requests are due at a fixed interval.
-    pub rate_qps: f64,
     /// Share of requests that are the group-by statement.
     pub group_share: f64,
     /// Share of light requests that bind a value from the hot set.
     pub hot_share: f64,
-    /// Mean gap between catalog writes (each gap is drawn from
-    /// 0.5×..1.5× of it).
-    pub write_every: Duration,
+    /// Mean number of requests between catalog writes (each gap is drawn
+    /// from 0.5×..1.5× of it), so the share of writes does not depend on
+    /// the offered rate.
+    pub write_every: u32,
     /// Bind values are drawn from this range (cents of `l_quantity`).
     pub param_range: (i64, i64),
     /// Size of the hot set of bind values.
@@ -82,6 +81,32 @@ pub struct Mix {
 pub const LIGHT: usize = 0;
 pub const GROUP: usize = 1;
 
+/// The endless operation sequence of `mix`, without due times: queries,
+/// with a catalog write before every `write_every`-th of them on average.
+pub fn mix_ops(seed: u64, mix: &Mix) -> impl Iterator<Item = Op> {
+    let mix = mix.clone();
+    let mut rng = Rng::new(seed);
+    let (lo, hi) = mix.param_range;
+    let hot: Vec<i64> = (0..mix.hot_values.max(1)).map(|_| rng.range(lo, hi)).collect();
+    let gap = move |rng: &mut Rng| (mix.write_every as f64 * (0.5 + rng.unit())) as u64;
+    let mut until_write = gap(&mut rng);
+    std::iter::from_fn(move || {
+        if until_write == 0 {
+            until_write = gap(&mut rng);
+            return Some(Op::Write);
+        }
+        until_write -= 1;
+        let op = if rng.unit() < mix.group_share {
+            Op::Query { entry: GROUP, param: Some(rng.range(lo, hi)) }
+        } else if rng.unit() < mix.hot_share {
+            Op::Query { entry: LIGHT, param: Some(hot[rng.below(hot.len() as u64) as usize]) }
+        } else {
+            Op::Query { entry: LIGHT, param: Some(rng.range(lo, hi)) }
+        };
+        Some(op)
+    })
+}
+
 /// An operation and the time it is due, relative to the start of the
 /// measurement.
 #[derive(Clone, Debug, PartialEq)]
@@ -90,29 +115,22 @@ pub struct Scheduled {
     pub op: Op,
 }
 
-/// The full open-loop schedule over `horizon`, in due order.
-pub fn open_loop(seed: u64, mix: &Mix, horizon: Duration) -> Vec<Scheduled> {
-    let mut rng = Rng::new(seed);
-    let (lo, hi) = mix.param_range;
-    let hot: Vec<i64> = (0..mix.hot_values.max(1)).map(|_| rng.range(lo, hi)).collect();
-    let interval = Duration::from_secs_f64(1.0 / mix.rate_qps);
-    let mut out = Vec::new();
+/// The open-loop schedule of `mix` over `horizon`, in due order: requests
+/// at a fixed interval of `1 / rate_qps`, each write due with the request
+/// it precedes.
+pub fn open_loop(seed: u64, mix: &Mix, rate_qps: f64, horizon: Duration) -> Vec<Scheduled> {
+    let interval = Duration::from_secs_f64(1.0 / rate_qps);
     let mut due = Duration::ZERO;
-    let mut next_write = mix.write_every.mul_f64(0.5 + rng.unit());
-    while due < horizon {
-        while next_write <= due {
-            out.push(Scheduled { due: next_write, op: Op::Write });
-            next_write += mix.write_every.mul_f64(0.5 + rng.unit());
+    let mut out = Vec::new();
+    for op in mix_ops(seed, mix) {
+        if due >= horizon {
+            break;
         }
-        let op = if rng.unit() < mix.group_share {
-            Op::Query { entry: GROUP, param: Some(rng.range(lo, hi)) }
-        } else if rng.unit() < mix.hot_share {
-            Op::Query { entry: LIGHT, param: Some(hot[rng.below(hot.len() as u64) as usize]) }
-        } else {
-            Op::Query { entry: LIGHT, param: Some(rng.range(lo, hi)) }
-        };
+        let query = matches!(op, Op::Query { .. });
         out.push(Scheduled { due, op });
-        due += interval;
+        if query {
+            due += interval;
+        }
     }
     out
 }

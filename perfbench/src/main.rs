@@ -104,8 +104,8 @@ fn main() -> ExitCode {
     }
     let host = Fingerprint::current().to_json();
     println!("# host {host}");
-    let correct = outcome.wrong == 0 && outcome.violations == 0;
-    let line = json::result_line(correct, outcome.attempted.max(1), outcome.failed, &metrics);
+    let line =
+        json::result_line(outcome.correct(), outcome.attempted.max(1), outcome.failed, &metrics);
     if let Some(path) = &args.out {
         let record = format!(
             "{{\"workload\": {}, \"seed\": {}, \"seconds\": {}, \"trace\": {}, \"host\": {host}, \"result\": {line}}}\n",

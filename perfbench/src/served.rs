@@ -14,10 +14,11 @@
 //! whose timer-tick granularity made the generator send up to 10 ms late.
 
 use crate::corpus::{Entry, Oracle, Source};
-use crate::layers;
-use crate::loadgen::{open_loop, Mix, Op, Scheduled};
+use crate::layers::{self, Counters};
+use crate::loadgen::{mix_ops, open_loop, Mix, Op, Scheduled};
 use crate::stats::{geomean_of_medians, median, quantile, sorted};
-use crate::{ms, peak_rss_mb, us, Outcome, RunConfig, THREADS};
+use crate::{peak_rss_mb, us, Outcome, RunConfig, THREADS};
+use aqe_bench::ms;
 use aqe_engine::exec::{ExecOptions, ParamValue};
 use aqe_engine::session::Engine;
 use aqe_server::protocol::{FrameBuf, HEADER};
@@ -38,26 +39,48 @@ pub const LIGHT_SQL: &str =
 pub const GROUP_SQL: &str = "SELECT l_returnflag, count(*) AS n, sum(l_quantity) AS q \
      FROM lineitem WHERE l_quantity < ? GROUP BY l_returnflag ORDER BY l_returnflag";
 
-/// The nominal offered rate the end-to-end metrics are taken at.
-pub const NOMINAL_QPS: f64 = 400.0;
-/// The workload's latency limit for `max_qps_at_slo` (p99).
+/// The request mix. Its bind range follows from the data: TPC-H draws
+/// `l_quantity` uniformly from 1..=50 (spec §4.2.3) and the generator
+/// stores it in cents, so `l_quantity < v` for `v` in 1.00..51.00 spans
+/// selectivities from 0 to 100 %. The shares are illustrative: no trace
+/// or published workload gives them for an engine like this one. They
+/// are chosen so that every serving path carries traffic: 30 % of light
+/// requests bind one of 4 hot values (result-cache hits between writes),
+/// 15 % of requests are the group-by, and one catalog write per 100
+/// requests (1 %) invalidates both statements, so about 2 % of requests
+/// pay a cold rebuild.
+pub const MIX: Mix = Mix {
+    group_share: 0.15,
+    hot_share: 0.3,
+    write_every: 100,
+    param_range: (100, 5100),
+    hot_values: 4,
+};
+
+/// The nominal offered rate the end-to-end metrics are taken at. It is
+/// fixed, so that runs compare at equal offered load, and set to half the
+/// lowest closed-loop capacity of the mix seen on the reference host
+/// (2 vCPUs; ten probes like the traced run's `server.capacity_qps`
+/// ranged 1087–1907 qps, the low end under host CPU steal): half load,
+/// as `bench_server` offers, even when the host is slow.
+pub const NOMINAL_QPS: f64 = 540.0;
+/// How long the capacity probe runs.
+const CAPACITY_PROBE: Duration = Duration::from_millis(500);
+/// Requests the capacity probe keeps in flight: one running on each
+/// executor and one queued behind it, so no executor waits on the client.
+const WINDOW: usize = 2 * THREADS;
+/// The workload's latency limit for `max_qps_at_slo` (p99); illustrative,
+/// about 20× the light statement's served p50 at nominal load.
 pub const SLO_MS: f64 = 20.0;
-/// Offered rates of the capacity ladder, as multiples of the nominal.
-const LADDER: [f64; 6] = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+/// Offered rates of the capacity ladder, as shares of the capacity
+/// measured in the traced run: from half load up to the capacity itself.
+const LADDER: [f64; 6] = [0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
 /// Replies still missing this long after the last request was due count
 /// as failed.
 const DRAIN: Duration = Duration::from_secs(5);
-
-pub fn mix(rate_qps: f64) -> Mix {
-    Mix {
-        rate_qps,
-        group_share: 0.15,
-        hot_share: 0.3,
-        write_every: Duration::from_millis(250),
-        param_range: (100, 5100),
-        hot_values: 4,
-    }
-}
+/// An instance whose p50 exceeds this multiple of the median instance's
+/// p50 is counted as latched (see [`INSTANCES`]).
+const LATCH_FACTOR: f64 = 2.0;
 
 fn entries() -> Vec<Entry> {
     [("light", LIGHT_SQL), ("group", GROUP_SQL)]
@@ -237,13 +260,18 @@ struct Phase {
     attempted: u64,
     failed: u64,
     wrong: u64,
-    shed: u64,
+    /// Requests refused or dropped under load: shed, backpressure and
+    /// deadline replies, and replies missing after the drain window.
+    overload: u64,
+    /// Requests that failed otherwise: engine errors, broken connection.
+    errors: u64,
     good: u64,
     elapsed_s: f64,
     /// Requests still unanswered when the last one was sent.
     backlog: usize,
     queued_peak: i64,
-    errors: Vec<String>,
+    /// The first few failures, for the log.
+    messages: Vec<String>,
     /// A sample of (statement, bind value, latency) for the in-process
     /// comparison, and of the frames exchanged.
     pairs: Vec<(usize, i64, f64)>,
@@ -256,20 +284,24 @@ impl Phase {
         sorted(self.latency.iter().flatten().copied().collect())
     }
 
-    fn error(&mut self, e: String) {
-        if self.errors.len() < 5 {
-            self.errors.push(e);
+    fn message(&mut self, e: String) {
+        if self.messages.len() < 5 {
+            self.messages.push(e);
         }
     }
 }
 
 const RECORD: usize = 400;
 
+/// Requests sent and not yet answered: request id → (due, statement,
+/// bind value).
+type Outstanding = HashMap<u64, (Instant, usize, i64)>;
+
 /// Account one reply against the request it answers.
 fn absorb(
     ph: &mut Phase,
     oracles: &[Oracle],
-    outstanding: &mut HashMap<u64, (Instant, usize, i64)>,
+    outstanding: &mut Outstanding,
     (at, resp): Reply,
     record: bool,
 ) {
@@ -290,16 +322,18 @@ fn absorb(
             } else {
                 ph.failed += 1;
                 ph.wrong += 1;
-                ph.error(format!("statement {entry} value {v}: rows differ from the oracle"));
+                ph.message(format!("statement {entry} value {v}: rows differ from the oracle"));
             }
         }
         Response::Error { code, message, .. } => {
             ph.failed += 1;
-            if *code == ErrorCode::Shed {
-                ph.shed += 1;
-            } else {
-                ph.error(format!("statement {entry}: {code:?}: {message}"));
+            match code {
+                ErrorCode::Shed | ErrorCode::Backpressure | ErrorCode::DeadlineExceeded => {
+                    ph.overload += 1
+                }
+                _ => ph.errors += 1,
             }
+            ph.message(format!("statement {entry}: {code:?}: {message}"));
         }
         _ => {}
     }
@@ -308,9 +342,88 @@ fn absorb(
     }
 }
 
+/// Send one operation due at `due`: a request over the connection, or a
+/// catalog write straight to the engine.
+fn issue(
+    run: &mut Running,
+    ph: &mut Phase,
+    out: &mut Outstanding,
+    op: &Op,
+    due: Instant,
+    record: bool,
+) {
+    ph.attempted += 1;
+    match *op {
+        Op::Write => run.engine.with_catalog_mut(|c| {
+            if let Some(t) = c.get("region").cloned() {
+                c.add((*t).clone());
+            }
+        }),
+        Op::Query { entry, param } => {
+            let v = param.unwrap_or(0);
+            let request_id = run.next_id;
+            run.next_id += 1;
+            let req = Request::Execute {
+                stmt_id: STMT_IDS[entry],
+                request_id,
+                priority: 1,
+                deadline_ms: 0,
+                params: vec![ParamValue::I64(v)],
+            };
+            ph.lag.push(ms(due.elapsed()));
+            match run.send(&req) {
+                Ok(()) => {
+                    out.insert(request_id, (due, entry, v));
+                }
+                Err(e) => {
+                    ph.failed += 1;
+                    ph.errors += 1;
+                    ph.message(e);
+                }
+            }
+            if record && ph.requests.len() < RECORD {
+                ph.requests.push(req);
+            }
+        }
+    }
+}
+
+/// Wait up to [`DRAIN`] for the replies still outstanding. Those that
+/// do not come count as failed: under load if the connection is intact,
+/// as errors if it broke.
+fn drain(run: &Running, ph: &mut Phase, oracles: &[Oracle], out: &mut Outstanding, record: bool) {
+    let drain_until = Instant::now() + DRAIN;
+    let mut broken = false;
+    while !out.is_empty() {
+        let now = Instant::now();
+        if now >= drain_until {
+            break;
+        }
+        match run.reply(drain_until - now) {
+            Ok(Some(r)) => absorb(ph, oracles, out, r, record),
+            Ok(None) => {}
+            Err(e) => {
+                ph.message(e);
+                broken = true;
+                break;
+            }
+        }
+    }
+    if !out.is_empty() {
+        let missing = out.len() as u64;
+        ph.failed += missing;
+        if broken {
+            ph.errors += missing;
+        } else {
+            ph.overload += missing;
+        }
+        ph.message(format!("{missing} replies missing after the drain window"));
+    }
+}
+
 fn drive(run: &mut Running, oracles: &[Oracle], schedule: &[Scheduled], record: bool) -> Phase {
     let mut ph = Phase { latency: vec![Vec::new(); STMT_IDS.len()], ..Default::default() };
-    let mut outstanding: HashMap<u64, (Instant, usize, i64)> = HashMap::new();
+    let mut outstanding = Outstanding::new();
     let start = Instant::now();
     for s in schedule {
         let due = start + s.due;
@@ -325,77 +438,56 @@ fn drive(run: &mut Running, oracles: &[Oracle], schedule: &[Scheduled], record: 
                 Ok(Some(r)) => absorb(&mut ph, oracles, &mut outstanding, r, record),
                 Ok(None) => std::thread::yield_now(),
                 Err(e) => {
-                    ph.error(e);
+                    ph.message(e);
                     std::thread::sleep(due.saturating_duration_since(Instant::now()));
                 }
             }
         }
-        ph.attempted += 1;
-        match s.op {
-            Op::Write => run.engine.with_catalog_mut(|c| {
-                if let Some(t) = c.get("region").cloned() {
-                    c.add((*t).clone());
-                }
-            }),
-            Op::Query { entry, param } => {
-                let v = param.unwrap_or(0);
-                let request_id = run.next_id;
-                run.next_id += 1;
-                let req = Request::Execute {
-                    stmt_id: STMT_IDS[entry],
-                    request_id,
-                    priority: 1,
-                    deadline_ms: 0,
-                    params: vec![ParamValue::I64(v)],
-                };
-                ph.lag.push(ms(due.elapsed()));
-                match run.send(&req) {
-                    Ok(()) => {
-                        outstanding.insert(request_id, (due, entry, v));
-                    }
-                    Err(e) => {
-                        ph.failed += 1;
-                        ph.error(e);
-                    }
-                }
-                if record && ph.requests.len() < RECORD {
-                    ph.requests.push(req);
-                }
-            }
-        }
+        issue(run, &mut ph, &mut outstanding, &s.op, due, record);
         ph.queued_peak = ph.queued_peak.max(run.engine.server_stats().queued as i64);
     }
     ph.backlog = outstanding.len();
-    let drain_until = Instant::now() + DRAIN;
-    while !outstanding.is_empty() {
-        let now = Instant::now();
-        if now >= drain_until {
-            break;
-        }
-        match run.reply(drain_until - now) {
-            Ok(Some(r)) => absorb(&mut ph, oracles, &mut outstanding, r, record),
-            Ok(None) => {}
-            Err(e) => {
-                ph.error(e);
-                break;
-            }
-        }
-    }
-    if !outstanding.is_empty() {
-        ph.failed += outstanding.len() as u64;
-        ph.error(format!("{} replies missing after the drain window", outstanding.len()));
-    }
+    drain(run, &mut ph, oracles, &mut outstanding, record);
     ph.elapsed_s = start.elapsed().as_secs_f64();
     ph
 }
 
-/// Independent server instances per untraced run, each on a fresh
-/// engine and each measured for an equal share of the run. The engine's
-/// calibration store can latch into a model under which nothing is worth
-/// compiling (one compile slowed by a preempted CPU is enough), and then
-/// that instance serves from bytecode for the rest of its life; taking
-/// each metric's median over instances keeps one such instance from
-/// deciding the run.
+/// The mix's closed-loop capacity in correct replies per second: its
+/// operations (writes included) sent back to back for
+/// [`CAPACITY_PROBE`], [`WINDOW`] requests in flight.
+fn capacity(run: &mut Running, oracles: &[Oracle], seed: u64) -> Phase {
+    let mut ph = Phase { latency: vec![Vec::new(); STMT_IDS.len()], ..Default::default() };
+    let mut outstanding = Outstanding::new();
+    let mut ops = mix_ops(seed, &MIX);
+    let start = Instant::now();
+    while start.elapsed() < CAPACITY_PROBE {
+        if outstanding.len() < WINDOW {
+            let op = ops.next().expect("the mix is endless");
+            issue(run, &mut ph, &mut outstanding, &op, Instant::now(), false);
+            continue;
+        }
+        match run.try_reply() {
+            Ok(Some(r)) => absorb(&mut ph, oracles, &mut outstanding, r, false),
+            Ok(None) => std::thread::yield_now(),
+            Err(e) => {
+                ph.message(e);
+                break;
+            }
+        }
+    }
+    drain(run, &mut ph, oracles, &mut outstanding, false);
+    ph.elapsed_s = start.elapsed().as_secs_f64();
+    ph
+}
+
+/// Independent server instances per run, each on a fresh engine and
+/// each measured at the nominal rate for an equal share of the run. The
+/// engine's calibration store can latch into a model under which nothing
+/// is worth compiling (one compile slowed by a preempted CPU is enough),
+/// and then that instance serves from bytecode for the rest of its life.
+/// The end-to-end metrics take each figure's median over instances, so
+/// one such instance does not decide the run; how often instances latch
+/// is the traced run's `served.latched_frac`.
 const INSTANCES: u64 = 10;
 
 pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
@@ -406,16 +498,20 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
     }
 }
 
+/// Account a phase at the nominal rate. A wrong row or an error fails
+/// the run; a request refused or dropped under load counts as failed
+/// only (a host stall can shed at any rate).
 fn note_phase(out: &mut Outcome, label: &str, entries: &[Entry], ph: &Phase) {
     out.attempted += ph.attempted;
     out.failed += ph.failed;
     out.wrong += ph.wrong;
-    for e in &ph.errors {
+    out.errors += ph.errors;
+    for e in &ph.messages {
         out.note(format!("error: {e}"));
     }
     out.note(format!(
-        "{label}: {} ops in {:.2} s, failed {} (shed {}), wrong {}, backlog at end {}",
-        ph.attempted, ph.elapsed_s, ph.failed, ph.shed, ph.wrong, ph.backlog
+        "{label}: {} ops in {:.2} s, failed {} (under load {}, errors {}), wrong {}, backlog at end {}",
+        ph.attempted, ph.elapsed_s, ph.failed, ph.overload, ph.errors, ph.wrong, ph.backlog
     ));
     for (e, lat) in entries.iter().zip(&ph.latency) {
         let lat = sorted(lat.clone());
@@ -430,90 +526,156 @@ fn note_phase(out: &mut Outcome, label: &str, entries: &[Entry], ph: &Phase) {
     }
 }
 
-fn untraced(cfg: &RunConfig) -> Result<Outcome, String> {
-    let mut out = Outcome::default();
-    let entries = entries();
-    let range = mix(NOMINAL_QPS).param_range;
-    let slice = Duration::from_secs_f64(cfg.seconds / INSTANCES as f64);
-    let mut oracles: Option<Vec<Oracle>> = None;
-    let (mut setups, mut rows) = (Vec::new(), Vec::new());
-    for k in 0..INSTANCES {
-        let t = Instant::now();
-        let (cat, mut run) = setup()?;
-        setups.push(t.elapsed().as_secs_f64());
-        if oracles.is_none() {
-            oracles =
-                Some(entries.iter().map(|e| e.oracle(&cat, range)).collect::<Result<_, _>>()?);
-        }
-        let oracles = oracles.as_deref().expect("oracles");
-        let schedule = open_loop(instance_seed(cfg.seed, k), &mix(NOMINAL_QPS), slice);
-        let ph = drive(&mut run, oracles, &schedule, false);
-        note_phase(&mut out, &format!("instance {k} at {NOMINAL_QPS} qps"), &entries, &ph);
-        rows.push([
-            geomean_of_medians(&ph.latency),
-            quantile(&ph.all_latencies(), 0.50),
-            ph.good as f64 / ph.elapsed_s,
-        ]);
-    }
-    let col = |i: usize| median(&rows.iter().map(|r| r[i]).collect::<Vec<_>>());
-    out.push("setup_s", median(&setups), "s");
-    out.push("geomean_ms", col(0), "ms");
-    out.push("latency_p50_ms", col(1), "ms");
-    out.push("throughput_qps", col(2), "1/s");
-    out.push("peak_rss_mb", peak_rss_mb(), "MiB");
-    Ok(out)
-}
-
-/// The load-generator seed of server instance `k`.
+/// The load-generator seed of server instance `k` (`k = 0` is the
+/// capacity probe's instance).
 pub fn instance_seed(seed: u64, k: u64) -> u64 {
     seed.wrapping_mul(0x100).wrapping_add(k)
 }
 
-/// The traced run: one instance, half the time at the nominal rate
-/// (recording frames and bindings for the layer probes), half on the
-/// capacity ladder.
+/// The [`INSTANCES`] server instances at the nominal rate.
+struct Nominal {
+    cat: Catalog,
+    oracles: Vec<Oracle>,
+    setups: Vec<f64>,
+    phases: Vec<Phase>,
+    /// Session counters before and after each instance's phase.
+    spans: Vec<(Counters, Counters)>,
+    shed: u64,
+    /// The last instance, still serving (the traced run probes it).
+    last: Running,
+}
+
+impl Nominal {
+    /// Share of instances whose p50 is over [`LATCH_FACTOR`] times the
+    /// median instance's.
+    fn latched_frac(&self) -> f64 {
+        let p50: Vec<f64> = self.phases.iter().map(|p| quantile(&p.all_latencies(), 0.5)).collect();
+        let typical = median(&p50);
+        p50.iter().filter(|&&p| p > LATCH_FACTOR * typical).count() as f64 / p50.len() as f64
+    }
+}
+
+/// Run [`INSTANCES`] fresh instances at [`NOMINAL_QPS`] for an equal share
+/// of `span` each. `record` keeps frames and bindings of the last
+/// instance for the layer probes.
+fn nominal(
+    cfg: &RunConfig,
+    span: Duration,
+    record: bool,
+    out: &mut Outcome,
+) -> Result<Nominal, String> {
+    let entries = entries();
+    let slice = span / INSTANCES as u32;
+    let mut oracles: Option<Vec<Oracle>> = None;
+    let (mut setups, mut phases, mut spans, mut shed, mut last) =
+        (Vec::new(), Vec::new(), Vec::new(), 0, None);
+    let mut cat = None;
+    for k in 1..=INSTANCES {
+        drop(last.take());
+        let t = Instant::now();
+        let (data, mut run) = setup()?;
+        setups.push(t.elapsed().as_secs_f64());
+        if oracles.is_none() {
+            oracles = Some(
+                entries
+                    .iter()
+                    .map(|e| e.oracle(&data, MIX.param_range))
+                    .collect::<Result<_, _>>()?,
+            );
+            cat = Some(data);
+        }
+        let oracles = oracles.as_deref().expect("oracles");
+        let schedule = open_loop(instance_seed(cfg.seed, k), &MIX, NOMINAL_QPS, slice);
+        let before = layers::counters(&run.engine);
+        let shed_before = run.engine.server_stats().shed;
+        let ph = drive(&mut run, oracles, &schedule, record && k == INSTANCES);
+        spans.push((before, layers::counters(&run.engine)));
+        shed += run.engine.server_stats().shed - shed_before;
+        note_phase(out, &format!("instance {k} at {NOMINAL_QPS} qps"), &entries, &ph);
+        phases.push(ph);
+        last = Some(run);
+    }
+    Ok(Nominal {
+        cat: cat.expect("INSTANCES > 0"),
+        oracles: oracles.expect("INSTANCES > 0"),
+        setups,
+        phases,
+        spans,
+        shed,
+        last: last.expect("INSTANCES > 0"),
+    })
+}
+
+fn untraced(cfg: &RunConfig) -> Result<Outcome, String> {
+    let mut out = Outcome::default();
+    let nom = nominal(cfg, Duration::from_secs_f64(cfg.seconds), false, &mut out)?;
+    out.note(format!(
+        "latched instances (p50 over {LATCH_FACTOR}x the median instance's): {:.0} %",
+        100.0 * nom.latched_frac()
+    ));
+    let col = |f: &dyn Fn(&Phase) -> f64| median(&nom.phases.iter().map(f).collect::<Vec<_>>());
+    out.push("setup_s", median(&nom.setups), "s");
+    out.push("geomean_ms", col(&|p| geomean_of_medians(&p.latency)), "ms");
+    out.push("latency_p50_ms", col(&|p| quantile(&p.all_latencies(), 0.50)), "ms");
+    out.push("throughput_qps", col(&|p| p.good as f64 / p.elapsed_s), "1/s");
+    out.push("peak_rss_mb", peak_rss_mb(), "MiB");
+    Ok(out)
+}
+
+/// The traced run: the capacity probe on an instance of its own, then
+/// half the time on the [`INSTANCES`] instances at the nominal rate (the
+/// last one recording frames and bindings for the layer probes), half on
+/// the capacity ladder on the last instance.
 fn traced(cfg: &RunConfig) -> Result<Outcome, String> {
     let mut out = Outcome::default();
-    let (cat, mut run) = setup()?;
     let entries = entries();
-    let range = mix(NOMINAL_QPS).param_range;
-    let oracles: Vec<Oracle> =
-        entries.iter().map(|e| e.oracle(&cat, range)).collect::<Result<_, _>>()?;
-    let schedule =
-        open_loop(cfg.seed, &mix(NOMINAL_QPS), Duration::from_secs_f64(cfg.seconds / 2.0));
-    let before = (run.engine.cache_stats(), run.engine.concurrency());
-    let shed_before = run.engine.server_stats().shed;
-    let ph = drive(&mut run, &oracles, &schedule, true);
-    note_phase(&mut out, &format!("nominal {NOMINAL_QPS} qps"), &entries, &ph);
-    let all = ph.all_latencies();
+    let capacity_qps = {
+        let (cat, mut probe) = setup()?;
+        let oracles: Vec<Oracle> =
+            entries.iter().map(|e| e.oracle(&cat, MIX.param_range)).collect::<Result<_, _>>()?;
+        let cap = capacity(&mut probe, &oracles, instance_seed(cfg.seed, 0));
+        out.wrong += cap.wrong;
+        out.errors += cap.errors;
+        for e in &cap.messages {
+            out.note(format!("error: capacity probe: {e}"));
+        }
+        out.note(format!(
+            "capacity: {} correct replies in {:.2} s, {WINDOW} in flight",
+            cap.good, cap.elapsed_s
+        ));
+        cap.good as f64 / cap.elapsed_s
+    };
+    out.push("server.capacity_qps", capacity_qps, "1/s");
+    let nom = nominal(cfg, Duration::from_secs_f64(cfg.seconds / 2.0), true, &mut out)?;
+    out.push("served.latched_frac", nom.latched_frac(), "fraction");
+    let Nominal { cat, oracles, phases, spans, shed, last: mut run, .. } = nom;
+    let all = sorted(phases.iter().flat_map(Phase::all_latencies).collect());
     out.push("latency_p95_ms", quantile(&all, 0.95), "ms");
     out.push("latency_p99_ms", quantile(&all, 0.99), "ms");
 
-    layers::push_session_layers(&mut out, &run.engine, before);
-    let cold = (run.engine.concurrency().cold_builds - before.1.cold_builds) as f64;
-    out.push("server.shed", (run.engine.server_stats().shed - shed_before) as f64, "count");
-    out.push("server.queued_peak", ph.queued_peak as f64, "count");
-    out.push("loadgen.lag_p99_ms", quantile(&sorted(ph.lag.clone()), 0.99), "ms");
+    layers::push_session_layers(&mut out, &spans);
+    let cold: u64 = spans.iter().map(|(b, a)| a.1.cold_builds - b.1.cold_builds).sum();
+    out.push("server.shed", shed as f64, "count");
+    let queued_peak = phases.iter().map(|p| p.queued_peak).max().unwrap_or(0);
+    out.push("server.queued_peak", queued_peak as f64, "count");
+    let lag = sorted(phases.iter().flat_map(|p| p.lag.iter().copied()).collect());
+    out.push("loadgen.lag_p99_ms", quantile(&lag, 0.99), "ms");
 
     // Capacity ladder: the highest offered rate whose p99 meets the SLO
     // with nothing shed and no growing backlog. The ladder stops at the
     // first rate that misses; its operations are a probe, so only wrong
     // rows count against the run.
-    let step = cfg.seconds / 2.0 / LADDER.len() as f64;
+    let step = Duration::from_secs_f64(cfg.seconds / 2.0 / LADDER.len() as f64);
     let mut best = 0.0;
-    for (k, m) in LADDER.iter().enumerate() {
-        let rate = NOMINAL_QPS * m;
-        let sched = open_loop(
-            instance_seed(cfg.seed, k as u64 + 1),
-            &mix(rate),
-            Duration::from_secs_f64(step),
-        );
-        let p = drive(&mut run, &oracles, &sched, false);
+    for (k, share) in LADDER.iter().enumerate() {
+        let rate = share * capacity_qps;
+        let seed = instance_seed(cfg.seed, INSTANCES + 1 + k as u64);
+        let p = drive(&mut run, &oracles, &open_loop(seed, &MIX, rate, step), false);
         out.wrong += p.wrong;
         let p99 = quantile(&p.all_latencies(), 0.99);
         let backlog_ok = (p.backlog as f64) <= rate * SLO_MS / 1e3;
         out.note(format!(
-            "ladder {rate} qps: p99 {p99:.2} ms, failed {}, backlog {}",
+            "ladder {rate:.1} qps: p99 {p99:.2} ms, failed {}, backlog {}",
             p.failed, p.backlog
         ));
         if p99 > SLO_MS || !backlog_ok || p.failed > 0 {
@@ -523,33 +685,36 @@ fn traced(cfg: &RunConfig) -> Result<Outcome, String> {
     }
     out.push("max_qps_at_slo", best, "1/s");
 
-    // The in-process probes run on the server's engine with the server
-    // and the polling load threads stopped.
+    // The in-process probes run on the last instance's engine with the
+    // server and the polling load threads stopped.
     let engine = run.engine.clone();
     drop(run);
-    let (enc, dec) = frame_costs(&ph.requests, &ph.responses);
+    let recorded = phases.last().expect("INSTANCES > 0");
+    let (enc, dec) = frame_costs(&recorded.requests, &recorded.responses);
     out.push("server.frame_encode_us", enc, "us");
     out.push("server.frame_decode_us", dec, "us");
-    let overhead = in_process_overhead(&engine, &entries, &oracles, &ph.pairs, &mut out)?;
+    let overhead = in_process_overhead(&engine, &entries, &oracles, &recorded.pairs, &mut out)?;
     out.push("server.overhead_ms", overhead, "ms");
     // Reports do not cross the protocol: scheduler and tier metrics come
     // from traced in-process executions of the recorded bindings (result
     // cache off, so every one runs its morsels).
-    let reports = traced_in_process(&engine, &entries, &ph.pairs)?;
+    let reports = traced_in_process(&engine, &entries, &recorded.pairs)?;
     layers::push_report_layers(&mut out, &reports);
 
     // Cold builds on the served path happen after writes, one per
     // statement; spread them evenly. SQL is planned once, at prepare.
     let costs: Vec<_> =
         entries.iter().map(|e| layers::module_cost(&cat, e, 3)).collect::<Result<_, _>>()?;
-    let share = vec![cold / entries.len() as f64; entries.len()];
-    let drawn: Vec<f64> = ph.latency.iter().map(|l| l.len() as f64).collect();
+    let share = vec![cold as f64 / entries.len() as f64; entries.len()];
+    let drawn: Vec<f64> = (0..entries.len())
+        .map(|i| phases.iter().map(|p| p.latency[i].len() as f64).sum())
+        .collect();
     layers::push_build_layers(&mut out, &costs, &vec![0.0; entries.len()], &share, &drawn);
 
     let check = |i: usize, p: Option<i64>, rows: &[u64]| {
         oracles[i].expected(p).is_some_and(|want| want.matches(rows))
     };
-    let param = range.0 + 1000;
+    let param = MIX.param_range.0 + 1000;
     layers::tier_sweep(&engine, &entries, param, &check, &mut out)?;
     let session = engine.session();
     let prepared: Vec<_> = entries.iter().map(|e| e.prepare(&session)).collect::<Result<_, _>>()?;

@@ -1,5 +1,7 @@
 //! Order statistics over latency samples.
 
+use aqe_bench::geomean;
+
 /// Sort a sample in place (total order; NaN-free inputs assumed).
 pub fn sorted(mut xs: Vec<f64>) -> Vec<f64> {
     xs.sort_by(|a, b| a.total_cmp(b));
@@ -21,14 +23,6 @@ pub fn median(xs: &[f64]) -> f64 {
     quantile(&sorted(xs.to_vec()), 0.5)
 }
 
-/// Geometric mean of positive samples (0 for an empty sample).
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    (xs.iter().map(|x| x.max(1e-9).ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
 /// Geometric mean of each group's median, skipping empty groups.
 pub fn geomean_of_medians(groups: &[Vec<f64>]) -> f64 {
     let medians: Vec<f64> = groups.iter().filter(|g| !g.is_empty()).map(|g| median(g)).collect();
@@ -45,7 +39,6 @@ mod tests {
         assert_eq!(quantile(&s, 0.0), 1.0);
         assert_eq!(quantile(&s, 1.0), 4.0);
         assert!((quantile(&s, 0.5) - 2.5).abs() < 1e-12);
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert!(
             (geomean_of_medians(&[vec![1.0, 1.0, 9.0], vec![], vec![4.0]]) - 2.0).abs() < 1e-12
         );

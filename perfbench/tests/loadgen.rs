@@ -6,12 +6,14 @@ use aqe_perfbench::loadgen::{closed_loop, open_loop, Op};
 use aqe_perfbench::{served, warm};
 use std::time::Duration;
 
+const RATE_QPS: f64 = 400.0;
+
 fn closed(seed: u64) -> Vec<Op> {
     closed_loop(seed, 24, Some(23), warm::Q6_RANGE).take(500).collect()
 }
 
 fn open(seed: u64) -> Vec<(Duration, Op)> {
-    open_loop(seed, &served::mix(served::NOMINAL_QPS), Duration::from_secs(3))
+    open_loop(seed, &served::MIX, RATE_QPS, Duration::from_secs(3))
         .into_iter()
         .map(|s| (s.due, s.op))
         .collect()
@@ -52,14 +54,16 @@ fn open_loop_is_a_function_of_the_seed() {
 }
 
 #[test]
-fn open_loop_offers_the_nominal_rate_with_writes_and_both_statements() {
+fn open_loop_offers_the_rate_with_writes_and_both_statements() {
     let ops = open(1);
     let queries = ops.iter().filter(|(_, op)| matches!(op, Op::Query { .. })).count();
-    let expected = (served::NOMINAL_QPS * 3.0) as usize;
+    let expected = (RATE_QPS * 3.0) as usize;
     assert!(queries.abs_diff(expected) <= 1, "{queries} vs {expected}");
     assert!(ops.windows(2).all(|w| w[0].0 <= w[1].0), "schedule is in due order");
+    // One write per `write_every` requests on average, whatever the rate.
     let writes = ops.iter().filter(|(_, op)| *op == Op::Write).count();
-    assert!((6..=24).contains(&writes), "{writes} writes in 3 s");
+    let mean = queries / served::MIX.write_every as usize;
+    assert!((mean * 2 / 3..=mean * 2).contains(&writes), "{writes} writes, {queries} requests");
     for entry in [0, 1] {
         assert!(ops.iter().any(|(_, op)| matches!(op, Op::Query { entry: e, .. } if *e == entry)));
     }
