@@ -1,15 +1,15 @@
 //! `adhoc-cold`: the paper's small-data ad-hoc regime. One client, closed
 //! loop, over the full corpus at SF 0.01; every draw is prepared afresh
-//! on one long-lived engine (adaptive mode, result cache off), so SQL
+//! on a long-lived engine (adaptive mode, result cache off; one engine
+//! per [`INSTANCES`](crate::closed::INSTANCES) share of the run), so SQL
 //! planning, decomposition, codegen, bytecode translation and the
 //! adaptive controller's compiles are on the timed path.
 
-use crate::closed::{drive, push_layers};
+use crate::closed::{drive, instances, push_layers};
 use crate::corpus::{self, Entry, Oracle};
-use crate::layers;
 use crate::loadgen::closed_loop;
 use crate::stats::median;
-use crate::{peak_rss_mb, repeated_setup, Outcome, RunConfig, THREADS};
+use crate::{Outcome, RunConfig, THREADS};
 use aqe_engine::exec::ExecOptions;
 use aqe_engine::session::Engine;
 use aqe_storage::Catalog;
@@ -36,35 +36,45 @@ fn setup() -> Result<(Catalog, Engine, Vec<Entry>), String> {
 
 pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
     let mut out = Outcome::default();
-    let ((cat, engine, entries), setups) = repeated_setup(setup)?;
-    let oracles: Vec<Oracle> =
-        entries.iter().map(|e| e.oracle(&cat, (0, 1))).collect::<Result<_, _>>()?;
-
-    let session = engine.session();
     let opts = options();
     let traced_opts = ExecOptions { trace: true, ..options() };
-    let before = layers::counters(&engine);
-    let res = drive(
-        &oracles,
-        closed_loop(cfg.seed, entries.len(), None, (0, 1)),
-        cfg.seconds,
-        cfg.trace,
-        |i, param, traced| {
-            let e = &entries[i];
-            let p = e.prepare(&session)?;
-            e.execute(&session, &p, param, if traced { &traced_opts } else { &opts })
+    let mut oracles: Option<Vec<Oracle>> = None;
+    let run = instances(
+        cfg,
+        setup,
+        |(_, engine, _)| engine,
+        |(cat, engine, entries), seed, seconds| {
+            if oracles.is_none() {
+                let o = entries.iter().map(|e| e.oracle(cat, (0, 1))).collect::<Result<_, _>>()?;
+                oracles = Some(o);
+            }
+            let session = engine.session();
+            Ok(drive(
+                oracles.as_deref().expect("computed above"),
+                closed_loop(seed, entries.len(), None, (0, 1)),
+                seconds,
+                cfg.trace,
+                |i, param, traced| {
+                    let e = &entries[i];
+                    let p = e.prepare(&session)?;
+                    e.execute(&session, &p, param, if traced { &traced_opts } else { &opts })
+                },
+                |r| (!r.cold_build).then(|| "a fresh preparation ran warm".to_string()),
+            ))
         },
-        |r| (!r.cold_build).then(|| "a fresh preparation ran warm".to_string()),
-    );
-    res.summarize(entries.len(), &mut out, cfg.trace);
+    )?;
+    let oracles = oracles.expect("INSTANCES > 0");
+    let (cat, engine, entries) = &run.last;
+    run.res.summarize(entries.len(), &mut out, cfg.trace);
     if cfg.trace {
         // The thread sweep reuses prepared statements (and warms them).
+        let session = engine.session();
         let prepared: Vec<_> =
             entries.iter().map(|e| e.prepare(&session)).collect::<Result<_, _>>()?;
-        push_layers(&mut out, &res, &cat, &engine, before, &entries, &oracles, &prepared, 0, 3)?;
+        push_layers(&mut out, &run, cat, engine, entries, &oracles, &prepared, 0, 3)?;
     } else {
-        out.push("setup_s", median(&setups), "s");
-        out.push("peak_rss_mb", peak_rss_mb(), "MiB");
+        out.push("setup_s", median(&run.setups), "s");
+        out.push("rss_mb", median(&run.rss_mb), "MiB");
     }
     Ok(out)
 }

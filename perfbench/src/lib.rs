@@ -29,7 +29,7 @@ pub mod served;
 pub mod stats;
 pub mod warm;
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One metric of a run: name, value, unit.
 #[derive(Clone, Debug)]
@@ -91,21 +91,30 @@ pub struct RunConfig {
 pub const THREADS: usize = 2;
 
 /// End-to-end metrics (every untraced run reports each), as declared in
-/// `BENCHMARK.json`.
-pub const END_TO_END: [(&str, &str); 5] = [
-    ("setup_s", "s"),
-    ("geomean_ms", "ms"),
-    ("latency_p50_ms", "ms"),
-    ("throughput_qps", "1/s"),
-    ("peak_rss_mb", "MiB"),
-];
+/// `BENCHMARK.json`. `latency_ms` is the geometric mean over the
+/// workload's queries (closed loops) or statements (served) of a latency
+/// quantile: in closed loops each query's p10, scaled to the reference
+/// host's speed by the run's [`host::SpeedProbe`] kernel time; served,
+/// the median over server instances of each statement's p50, unscaled.
+/// `throughput_qps` is completions per second: in closed loops the 90th
+/// percentile over passes through the corpus, scaled likewise; served,
+/// the goodput at the nominal rate. `setup_s` is the median set-up and
+/// `rss_mb` the median resident set (see [`rss_mb`]).
+pub const END_TO_END: [(&str, &str); 4] =
+    [("setup_s", "s"), ("latency_ms", "ms"), ("throughput_qps", "1/s"), ("rss_mb", "MiB")];
 
 /// Per-layer metrics (every traced run reports each; a layer the
 /// workload's timed path does not pass through, or cannot observe,
-/// reports 0). The latency tail rides here rather than among the
-/// end-to-end metrics: on a two-vCPU virtual machine it moves with the
-/// host's CPU steal by more than any useful regression bound.
-pub const PER_LAYER: [(&str, &str); 60] = [
+/// reports 0). The latency medians and tail ride here rather than among
+/// the end-to-end metrics: on a two-vCPU virtual machine they move with
+/// the host's CPU steal by more than any useful regression bound.
+pub const PER_LAYER: [(&str, &str); 66] = [
+    ("peak_rss_mb", "MiB"),
+    ("raw_latency_ms", "ms"),
+    ("raw_throughput_qps", "1/s"),
+    ("host.kernel_ms", "ms"),
+    ("geomean_ms", "ms"),
+    ("latency_p50_ms", "ms"),
     ("latency_p95_ms", "ms"),
     ("latency_p99_ms", "ms"),
     ("sql.plan_us", "us"),
@@ -163,28 +172,10 @@ pub const PER_LAYER: [(&str, &str); 60] = [
     ("server.queued_peak", "count"),
     ("server.capacity_qps", "1/s"),
     ("max_qps_at_slo", "1/s"),
-    ("served.latched_frac", "fraction"),
+    ("instances.latched_frac", "fraction"),
     ("loadgen.lag_p99_ms", "ms"),
     ("trace.overhead_frac", "fraction"),
 ];
-
-/// Set-ups per run; `setup_s` is their median.
-pub const SETUPS: usize = 3;
-
-/// Run `setup` [`SETUPS`] times; returns the last state and every
-/// set-up's duration in seconds (earlier states are dropped first).
-pub fn repeated_setup<T>(
-    mut setup: impl FnMut() -> Result<T, String>,
-) -> Result<(T, Vec<f64>), String> {
-    let (mut state, mut times) = (None, Vec::new());
-    for _ in 0..SETUPS {
-        drop(state.take());
-        let t = Instant::now();
-        state = Some(setup()?);
-        times.push(t.elapsed().as_secs_f64());
-    }
-    Ok((state.expect("SETUPS > 0"), times))
-}
 
 pub fn us(d: Duration) -> f64 {
     d.as_secs_f64() * 1e6
@@ -192,11 +183,24 @@ pub fn us(d: Duration) -> f64 {
 
 /// The process's resident-set high-water mark in MiB (`VmHWM`).
 pub fn peak_rss_mb() -> f64 {
+    status_mb("VmHWM:")
+}
+
+/// The process's resident set in MiB (`VmRSS`). `rss_mb` is its median
+/// over a run's instances, each taken at the end of the instance's timed
+/// share: unlike the high-water mark, which ratchets up with whatever
+/// memory the allocator kept from the instances before, it reads the
+/// same from run to run.
+pub fn rss_mb() -> f64 {
+    status_mb("VmRSS:")
+}
+
+fn status_mb(key: &str) -> f64 {
     std::fs::read_to_string("/proc/self/status")
         .ok()
         .and_then(|s| {
             s.lines()
-                .find(|l| l.starts_with("VmHWM:"))
+                .find(|l| l.starts_with(key))
                 .and_then(|l| l.split_whitespace().nth(1).and_then(|kb| kb.parse::<f64>().ok()))
         })
         .map_or(0.0, |kb| kb / 1024.0)

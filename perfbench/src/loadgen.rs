@@ -16,6 +16,11 @@ pub enum Op {
     Write,
 }
 
+/// The seed of a run's `k`-th engine or server instance.
+pub fn instance_seed(seed: u64, k: u64) -> u64 {
+    seed.wrapping_mul(0x100).wrapping_add(k)
+}
+
 /// Closed-loop draws: back-to-back seeded permutations of the corpus, so
 /// every entry is drawn equally often and per-query medians stay
 /// comparable. Entry `param_entry`, if any, gets a fresh bind value from

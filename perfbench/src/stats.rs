@@ -23,10 +23,23 @@ pub fn median(xs: &[f64]) -> f64 {
     quantile(&sorted(xs.to_vec()), 0.5)
 }
 
-/// Geometric mean of each group's median, skipping empty groups.
-pub fn geomean_of_medians(groups: &[Vec<f64>]) -> f64 {
-    let medians: Vec<f64> = groups.iter().filter(|g| !g.is_empty()).map(|g| median(g)).collect();
-    geomean(&medians)
+/// Geometric mean of each group's `q` quantile, skipping empty groups.
+pub fn geomean_of_quantiles(groups: &[Vec<f64>], q: f64) -> f64 {
+    let qs: Vec<f64> =
+        groups.iter().filter(|g| !g.is_empty()).map(|g| quantile(&sorted(g.clone()), q)).collect();
+    geomean(&qs)
+}
+
+/// An instance whose typical latency exceeds this multiple of the
+/// median instance's counts as latched: its adaptive controller settled
+/// on slow tiers for good.
+pub const LATCH_FACTOR: f64 = 2.0;
+
+/// Share of instances whose typical latency is over [`LATCH_FACTOR`]
+/// times the median instance's.
+pub fn latched_frac(typical: &[f64]) -> f64 {
+    let m = median(typical);
+    typical.iter().filter(|&&t| t > LATCH_FACTOR * m).count() as f64 / typical.len().max(1) as f64
 }
 
 #[cfg(test)]
@@ -40,7 +53,8 @@ mod tests {
         assert_eq!(quantile(&s, 1.0), 4.0);
         assert!((quantile(&s, 0.5) - 2.5).abs() < 1e-12);
         assert!(
-            (geomean_of_medians(&[vec![1.0, 1.0, 9.0], vec![], vec![4.0]]) - 2.0).abs() < 1e-12
+            (geomean_of_quantiles(&[vec![1.0, 1.0, 9.0], vec![], vec![4.0]], 0.5) - 2.0).abs()
+                < 1e-12
         );
     }
 }

@@ -1,15 +1,14 @@
 //! `warm-exec`: execution only. One client, closed loop, over the 22
 //! TPC-H queries, a wide aggregation and the parameterized Q6 at SF 0.1,
-//! each prepared once and warmed before timing (adaptive mode, result
-//! cache off). The timed path must do no codegen and no bytecode
+//! each prepared once per engine instance and warmed before timing
+//! (adaptive mode, result cache off). The timed path must do no codegen and no bytecode
 //! translation; every report is checked for that.
 
-use crate::closed::{drive, push_layers};
+use crate::closed::{drive, instances, push_layers};
 use crate::corpus::{self, Entry, Oracle};
-use crate::layers;
 use crate::loadgen::closed_loop;
 use crate::stats::median;
-use crate::{peak_rss_mb, repeated_setup, Outcome, RunConfig, THREADS};
+use crate::{Outcome, RunConfig, THREADS};
 use aqe_engine::exec::ExecOptions;
 use aqe_engine::session::{Engine, PreparedQuery};
 use aqe_storage::Catalog;
@@ -57,41 +56,49 @@ fn setup() -> Result<(Catalog, Engine, Vec<Entry>, Vec<PreparedQuery>), String> 
 
 pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
     let mut out = Outcome::default();
-    let ((cat, engine, entries, prepared), setups) = repeated_setup(setup)?;
-    let oracles: Vec<Oracle> =
-        entries.iter().map(|e| e.oracle(&cat, Q6_RANGE)).collect::<Result<_, _>>()?;
-    let param_entry = entries.iter().position(Entry::takes_param);
-
-    let session = engine.session();
     let opts = options();
     let traced_opts = ExecOptions { trace: true, ..options() };
-    let before = layers::counters(&engine);
-    let res = drive(
-        &oracles,
-        closed_loop(cfg.seed, entries.len(), param_entry, Q6_RANGE),
-        cfg.seconds,
-        cfg.trace,
-        |i, param, traced| {
-            let opts = if traced { &traced_opts } else { &opts };
-            entries[i].execute(&session, &prepared[i], param, opts)
+    let mut oracles: Option<Vec<Oracle>> = None;
+    let run = instances(
+        cfg,
+        setup,
+        |(_, engine, _, _)| engine,
+        |(cat, engine, entries, prepared), seed, seconds| {
+            if oracles.is_none() {
+                let o =
+                    entries.iter().map(|e| e.oracle(cat, Q6_RANGE)).collect::<Result<_, _>>()?;
+                oracles = Some(o);
+            }
+            let param_entry = entries.iter().position(Entry::takes_param);
+            let session = engine.session();
+            Ok(drive(
+                oracles.as_deref().expect("computed above"),
+                closed_loop(seed, entries.len(), param_entry, Q6_RANGE),
+                seconds,
+                cfg.trace,
+                |i, param, traced| {
+                    let opts = if traced { &traced_opts } else { &opts };
+                    entries[i].execute(&session, &prepared[i], param, opts)
+                },
+                |r| {
+                    (r.cold_build || !r.codegen.is_zero() || !r.bc_translate.is_zero()).then(|| {
+                        format!(
+                            "warm path built code: codegen {:?}, translate {:?}",
+                            r.codegen, r.bc_translate
+                        )
+                    })
+                },
+            ))
         },
-        |r| {
-            (r.cold_build || !r.codegen.is_zero() || !r.bc_translate.is_zero()).then(|| {
-                format!(
-                    "warm path built code: codegen {:?}, translate {:?}",
-                    r.codegen, r.bc_translate
-                )
-            })
-        },
-    );
-    res.summarize(entries.len(), &mut out, cfg.trace);
+    )?;
+    let oracles = oracles.expect("INSTANCES > 0");
+    let (cat, engine, entries, prepared) = &run.last;
+    run.res.summarize(entries.len(), &mut out, cfg.trace);
     if cfg.trace {
-        push_layers(
-            &mut out, &res, &cat, &engine, before, &entries, &oracles, &prepared, Q6_RANGE.0, 1,
-        )?;
+        push_layers(&mut out, &run, cat, engine, entries, &oracles, prepared, Q6_RANGE.0, 1)?;
     } else {
-        out.push("setup_s", median(&setups), "s");
-        out.push("peak_rss_mb", peak_rss_mb(), "MiB");
+        out.push("setup_s", median(&run.setups), "s");
+        out.push("rss_mb", median(&run.rss_mb), "MiB");
     }
     Ok(out)
 }
