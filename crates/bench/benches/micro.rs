@@ -1,9 +1,12 @@
-//! Criterion micro-benchmarks for the core mechanisms: VM dispatch vs the
-//! threaded-code backends, bytecode translation (liveness + regalloc), and
-//! the end-to-end mode comparison on a small Q6.
+//! Criterion micro-benchmarks for the core mechanisms: VM dispatch vs O0
+//! and O2 machine code, bytecode translation (liveness + regalloc) vs both
+//! native compiles, and the end-to-end mode comparison on a small Q6. The
+//! machine-code cases run only where the native emitter is live.
 
 use aqe_engine::exec::{ExecMode, ExecOptions};
-use aqe_jit::compile::{compile, OptLevel};
+use aqe_jit::compile::OptLevel;
+use aqe_jit::native::{compile_native_at, enabled};
+use aqe_vm::backend::PipelineBackend;
 use aqe_vm::interp::Frame;
 use aqe_vm::rt::Registry;
 use aqe_vm::translate::translate;
@@ -42,8 +45,6 @@ fn loop_function() -> aqe_ir::Function {
 fn bench_dispatch(c: &mut Criterion) {
     let f = loop_function();
     let bc = translate(&f, &[], Default::default()).unwrap();
-    let unopt = compile(&f, &[], OptLevel::Unoptimized).unwrap();
-    let opt = compile(&f, &[], OptLevel::Optimized).unwrap();
     let rt = Registry::new();
     let mut frame = Frame::new();
     let n = 10_000u64;
@@ -54,14 +55,16 @@ fn bench_dispatch(c: &mut Criterion) {
     g.bench_function("bytecode_vm", |b| {
         b.iter(|| aqe_vm::interp::execute(&bc, black_box(&[n]), &rt, &mut frame).unwrap())
     });
-    g.bench_function("unoptimized", |b| {
-        b.iter(|| {
-            aqe_jit::exec::execute_compiled(&unopt, black_box(&[n]), &rt, &mut frame).unwrap()
-        })
-    });
-    g.bench_function("optimized", |b| {
-        b.iter(|| aqe_jit::exec::execute_compiled(&opt, black_box(&[n]), &rt, &mut frame).unwrap())
-    });
+    if enabled() {
+        for (level, label) in
+            [(OptLevel::Unoptimized, "native_o0"), (OptLevel::Optimized, "native_o2")]
+        {
+            let nf = compile_native_at(&f, &[], level).unwrap();
+            g.bench_function(label, |b| {
+                b.iter(|| nf.call(black_box(&[n]), &rt, &mut frame).unwrap())
+            });
+        }
+    }
     g.finish();
 }
 
@@ -76,12 +79,16 @@ fn bench_translation(c: &mut Criterion) {
     g.bench_function("bytecode_translate", |b| {
         b.iter(|| translate(black_box(big), &module.externs, Default::default()).unwrap())
     });
-    g.bench_function("unoptimized_compile", |b| {
-        b.iter(|| compile(black_box(big), &module.externs, OptLevel::Unoptimized).unwrap())
-    });
-    g.bench_function("optimized_compile", |b| {
-        b.iter(|| compile(black_box(big), &module.externs, OptLevel::Optimized).unwrap())
-    });
+    if enabled() {
+        for (level, label) in [
+            (OptLevel::Unoptimized, "native_o0_compile"),
+            (OptLevel::Optimized, "native_o2_compile"),
+        ] {
+            g.bench_function(label, |b| {
+                b.iter(|| compile_native_at(black_box(big), &module.externs, level).unwrap())
+            });
+        }
+    }
     g.finish();
 }
 
@@ -94,7 +101,7 @@ fn bench_q6_modes(c: &mut Criterion) {
     for (mode, label) in [
         (ExecMode::Bytecode, "bytecode"),
         (ExecMode::Unoptimized, "unoptimized"),
-        (ExecMode::Optimized, "optimized"),
+        (ExecMode::Native, "native"),
         (ExecMode::Adaptive, "adaptive"),
     ] {
         g.bench_function(label, |b| {

@@ -106,12 +106,19 @@ struct Capacity {
     p50_ms: f64,
     p99_ms: f64,
     executions: u64,
+    /// Requests the server answered with an error frame (a shed, when the
+    /// queue holds fewer requests than there are connections).
+    rejected: u64,
 }
 
+/// Closed-loop throughput of row replies over `conns` connections. Error
+/// replies are counted, not fatal, the way `open_loop` counts them: a
+/// warm-up against a queue smaller than `conns` is shed by design.
 fn measure_capacity(addr: std::net::SocketAddr, conns: usize, secs: f64) -> Capacity {
     let deadline = Instant::now() + Duration::from_secs_f64(secs);
     let t0 = Instant::now();
     let mut lat: Vec<Vec<f64>> = Vec::new();
+    let mut rejected = 0;
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..conns)
             .map(|tid| {
@@ -119,18 +126,23 @@ fn measure_capacity(addr: std::net::SocketAddr, conns: usize, secs: f64) -> Capa
                     let mut client = Client::connect(addr).expect("connect");
                     let stmt = client.prepare(LIGHT_SQL).expect("prepare");
                     let mut rng = Lcg::new(tid as u64);
-                    let mut lats = Vec::new();
+                    let (mut lats, mut rejected) = (Vec::new(), 0u64);
                     while Instant::now() < deadline {
                         let t = Instant::now();
-                        client.execute(&stmt, &[rng.qty_param()]).expect("execute");
-                        lats.push(ms(t.elapsed()));
+                        match client.execute(&stmt, &[rng.qty_param()]) {
+                            Ok(_) => lats.push(ms(t.elapsed())),
+                            Err(ClientError::Server { .. }) => rejected += 1,
+                            Err(e) => panic!("capacity execute failed: {e}"),
+                        }
                     }
-                    lats
+                    (lats, rejected)
                 })
             })
             .collect();
         for h in handles {
-            lat.push(h.join().expect("capacity conn"));
+            let (lats, r) = h.join().expect("capacity conn");
+            lat.push(lats);
+            rejected += r;
         }
     });
     let wall = t0.elapsed().as_secs_f64();
@@ -141,6 +153,7 @@ fn measure_capacity(addr: std::net::SocketAddr, conns: usize, secs: f64) -> Capa
         p50_ms: percentile(&all, 0.50),
         p99_ms: percentile(&all, 0.99),
         executions: all.len() as u64,
+        rejected,
     }
 }
 
@@ -319,6 +332,7 @@ fn main() {
     // Warm the serving path before measuring.
     let _ = measure_capacity(addr, conns, secs.min(0.5));
     let capacity = measure_capacity(addr, conns, secs);
+    assert_eq!(capacity.rejected, 0, "the capacity queue holds every connection");
     eprintln!(
         "capacity:    {:>8.0} qps closed-loop  p50 {:>7.3} ms  p99 {:>7.3} ms  ({} executions)",
         capacity.qps, capacity.p50_ms, capacity.p99_ms, capacity.executions

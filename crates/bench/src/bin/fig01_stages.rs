@@ -1,9 +1,10 @@
 //! Fig. 1 / Fig. 3 — per-stage times of the compilation pipeline for a
 //! TPC-H-style query, from SQL text to the three execution-mode artifacts.
 
+use aqe_bench::compile_level;
 use aqe_bench::{env_sf, fmt_ms, ms};
 use aqe_engine::plan::decompose;
-use aqe_jit::compile::{compile, OptLevel};
+use aqe_jit::compile::OptLevel;
 use std::time::Instant;
 
 fn main() {
@@ -40,12 +41,12 @@ fn main() {
     let bc_t = t.elapsed();
     let t = Instant::now();
     for f in &module.functions {
-        compile(f, &module.externs, OptLevel::Unoptimized).unwrap();
+        compile_level(f, &module.externs, OptLevel::Unoptimized);
     }
     let unopt_t = t.elapsed();
     let t = Instant::now();
     for f in &module.functions {
-        compile(f, &module.externs, OptLevel::Optimized).unwrap();
+        compile_level(f, &module.externs, OptLevel::Optimized);
     }
     let opt_compile_t = t.elapsed();
 

@@ -1,8 +1,9 @@
 //! Fig. 6 — IR instruction count vs compilation time for the TPC-H and
 //! TPC-DS query corpus (both backends).
 
+use aqe_bench::compile_level;
 use aqe_bench::ms;
-use aqe_jit::compile::{compile, OptLevel};
+use aqe_jit::compile::OptLevel;
 use std::time::Instant;
 
 fn main() {
@@ -23,12 +24,12 @@ fn main() {
         let bc = t.elapsed();
         let t = Instant::now();
         for f in &module.functions {
-            compile(f, &module.externs, OptLevel::Unoptimized).unwrap();
+            compile_level(f, &module.externs, OptLevel::Unoptimized);
         }
         let un = t.elapsed();
         let t = Instant::now();
         for f in &module.functions {
-            compile(f, &module.externs, OptLevel::Optimized).unwrap();
+            compile_level(f, &module.externs, OptLevel::Optimized);
         }
         let op = t.elapsed();
         println!(

@@ -3,8 +3,9 @@
 //! approach for larger query sizes … the bytecode interpreter scales
 //! perfectly."
 
+use aqe_bench::compile_level;
 use aqe_bench::ms;
-use aqe_jit::compile::{compile, OptLevel};
+use aqe_jit::compile::OptLevel;
 use std::time::Instant;
 
 fn main() {
@@ -29,7 +30,7 @@ fn main() {
         let bc = t.elapsed();
         let t = Instant::now();
         for f in &module.functions {
-            compile(f, &module.externs, OptLevel::Unoptimized).unwrap();
+            compile_level(f, &module.externs, OptLevel::Unoptimized);
         }
         let un = t.elapsed();
         // Optimized compilation explodes super-linearly; skip monster sizes
@@ -38,7 +39,7 @@ fn main() {
         let mut opt_ms = f64::NAN;
         if n <= 1900 {
             for f in &module.functions {
-                compile(f, &module.externs, OptLevel::Optimized).unwrap();
+                compile_level(f, &module.externs, OptLevel::Optimized);
             }
             opt_ms = ms(t.elapsed());
         }

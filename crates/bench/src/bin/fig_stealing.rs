@@ -103,14 +103,14 @@ fn run(cat: &Catalog, phys: &PhysicalPlan, threads: usize, steal: bool) -> (f64,
 
 fn print_model(label: &str, m: &CostModel) {
     println!(
-        "{label:<12} unopt {:8.2} µs + {:7.4} µs/instr   opt {:8.2} µs + {:7.4} µs/instr   \
+        "{label:<12} O0 {:8.2} µs + {:7.4} µs/instr   O2 {:8.2} µs + {:7.4} µs/instr   \
          speedup {:4.2}× / {:4.2}×",
         m.unopt_base_s * 1e6,
         m.unopt_per_instr_s * 1e6,
-        m.opt_base_s * 1e6,
-        m.opt_per_instr_s * 1e6,
+        m.native_base_s * 1e6,
+        m.native_per_instr_s * 1e6,
         m.speedup_unopt,
-        m.speedup_opt,
+        m.speedup_native,
     );
 }
 

@@ -3,8 +3,9 @@
 //! translation ("bc."), unoptimized and optimized compilation; plus the
 //! Volcano/vectorized baselines' planning time (they share the planner).
 
+use aqe_bench::compile_level;
 use aqe_bench::ms;
-use aqe_jit::compile::{compile, OptLevel};
+use aqe_jit::compile::OptLevel;
 use std::time::Instant;
 
 fn main() {
@@ -30,12 +31,12 @@ fn main() {
         let bc_t = ms(t.elapsed());
         let t = Instant::now();
         for f in &module.functions {
-            compile(f, &module.externs, OptLevel::Unoptimized).unwrap();
+            compile_level(f, &module.externs, OptLevel::Unoptimized);
         }
         let un_t = ms(t.elapsed());
         let t = Instant::now();
         for f in &module.functions {
-            compile(f, &module.externs, OptLevel::Optimized).unwrap();
+            compile_level(f, &module.externs, OptLevel::Optimized);
         }
         let op_t = ms(t.elapsed());
         for (m, v) in maxima.iter_mut().zip([plan_t, cdg_t, bc_t, un_t, op_t]) {

@@ -24,6 +24,7 @@ use aqe_engine::plan::{
     decompose, AggFunc, AggSpec, ArithOp, CmpOp, PExpr, PhysicalPlan, PlanNode,
 };
 use aqe_engine::session::Engine;
+use aqe_jit::compile::OptLevel;
 use aqe_queries::Query;
 use aqe_storage::date::parse_date;
 use aqe_storage::Catalog;
@@ -202,8 +203,21 @@ pub fn fmt_ms(v: f64) -> String {
     }
 }
 
-/// Mode labels used in the standard reports (the four modes of Fig. 3 plus
-/// the native machine-code tier and its vectorized scan-kernel cap).
+/// Compile `f` the way the engine's tier at `level` does: O0 or O2 machine
+/// code where the native emitter is live, else only the step-stream front
+/// half (the engine then runs bytecode; the figure still shows the
+/// level's front-end cost).
+pub fn compile_level(f: &aqe_ir::Function, externs: &[aqe_ir::ExternDecl], level: OptLevel) {
+    if aqe_jit::native::enabled() {
+        aqe_jit::compile_native_at(f, externs, level).expect("native compile");
+    } else {
+        aqe_jit::compile(f, externs, level).expect("compile");
+    }
+}
+
+/// Mode labels used in the standard reports (the four modes of Fig. 3 —
+/// `optimized` is the alias of the O2 `native` tier — plus the vectorized
+/// scan-kernel cap).
 pub const MODES: [(ExecMode, &str); 6] = [
     (ExecMode::Bytecode, "bytecode"),
     (ExecMode::Unoptimized, "unoptimized"),

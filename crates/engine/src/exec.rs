@@ -42,8 +42,7 @@ pub use aqe_vm::backend::{ExecMode, PipelineBackend};
 /// extrapolation, and the calibration/report vocabulary grew out of this
 /// module in PR 2 and keep their historical import paths.
 pub use crate::sched::{
-    extrapolate_pipeline_durations, CalibrationReport, CostModel, ExecLevel, ModeChoice,
-    PipelineSchedReport,
+    extrapolate_pipeline_durations, CalibrationReport, CostModel, ExecLevel, PipelineSchedReport,
 };
 
 // ---------------------------------------------------------------------------
@@ -200,8 +199,10 @@ impl RetainedSlot {
 pub struct TraceEvent {
     pub thread: u16,
     pub pipeline: u16,
-    /// 0 = bytecode, 1 = unoptimized, 2 = optimized, 3 = naive IR,
-    /// 4 = native machine code, 255 = compilation.
+    /// [`ExecMode::trace_kind`] of the backend that ran the morsel:
+    /// 0 = bytecode, 1 = O0 machine code, 3 = naive IR, 4 = O2 machine
+    /// code, 5 = vectorized scan kernel; 255 = compilation. (2, the
+    /// retired optimized threaded code, is no longer emitted.)
     pub kind: u8,
     pub start_us: u64,
     pub end_us: u64,
@@ -444,8 +445,8 @@ pub(crate) struct QueryRun<'a> {
     /// Bind-variable values for this execution, one `u64` bit pattern per
     /// entry of `plan.params` (`f64` parameters as `to_bits`). Empty for
     /// non-parameterized plans. The slice is installed into the plan's
-    /// param state slot, so every tier — interpreted, threaded, native,
-    /// SIMD — reads the same block.
+    /// param state slot, so every tier — interpreted, O0, O2, SIMD —
+    /// reads the same block.
     pub params: &'a [u64],
     /// Per-pipeline quarantine views (one per pipeline, same indexing as
     /// `handles`): the controller skips tiers an earlier execution
@@ -864,9 +865,21 @@ impl PipelineRun<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aqe_jit::compile::{compile, OptLevel};
+    use aqe_jit::compile::OptLevel;
+    use aqe_jit::native::{compile_native_at, enabled};
     use aqe_vm::naive::NaiveBackend;
     use aqe_vm::translate::{translate, TranslateOptions};
+
+    /// Skip the test body when `AQE_NATIVE=0` forces the fallback (the CI
+    /// dimension that runs the suite without the emitter).
+    macro_rules! require_native {
+        () => {
+            if !enabled() {
+                eprintln!("native emitter disabled; skipping");
+                return;
+            }
+        };
+    }
 
     fn identity_function() -> Function {
         use aqe_ir::{FunctionBuilder, Type};
@@ -874,6 +887,10 @@ mod tests {
         let p = b.param(0);
         b.ret(Some(p.into()));
         b.finish().unwrap()
+    }
+
+    fn native(f: &Function, level: OptLevel) -> Arc<dyn PipelineBackend> {
+        Arc::new(compile_native_at(f, &[], level).unwrap())
     }
 
     #[test]
@@ -887,9 +904,9 @@ mod tests {
         // A failed compile re-opens the slot instead of leaking it.
         h.cancel_compile();
         assert!(h.try_begin_compile(), "cancel must re-open the compile slot");
+        require_native!();
 
-        let unopt = compile(&f, &[], OptLevel::Unoptimized).unwrap();
-        assert!(h.install(Arc::new(unopt)));
+        assert!(h.install(native(&f, OptLevel::Unoptimized)));
         assert_eq!(h.kind(), ExecMode::Unoptimized);
         assert!(h.try_begin_compile(), "compiles allowed again after install");
 
@@ -898,10 +915,9 @@ mod tests {
         assert!(!h.install(Arc::new(bc2)));
         assert_eq!(h.kind(), ExecMode::Unoptimized);
 
-        let opt = compile(&f, &[], OptLevel::Optimized).unwrap();
-        assert!(h.install(Arc::new(opt)));
-        assert_eq!(h.kind(), ExecMode::Optimized);
-        assert_eq!(h.rank(), ExecMode::Optimized.rank());
+        assert!(h.install(native(&f, OptLevel::Optimized)));
+        assert_eq!(h.kind(), ExecMode::Native);
+        assert_eq!(h.rank(), ExecMode::Native.rank());
     }
 
     #[test]
@@ -910,16 +926,15 @@ mod tests {
         let slot = RetainedSlot::new();
         assert_eq!(slot.rank(), 0, "a fresh slot is empty");
         assert!(slot.load().is_none());
+        require_native!();
 
-        let opt = compile(&f, &[], OptLevel::Optimized).unwrap();
-        assert!(slot.install(Arc::new(opt)));
-        assert_eq!(slot.rank(), ExecMode::Optimized.rank());
+        assert!(slot.install(native(&f, OptLevel::Optimized)));
+        assert_eq!(slot.rank(), ExecMode::Native.rank());
 
-        // A lower-ranked late arrival (a racing unoptimized compile) is
-        // refused; the best published backend stays.
-        let unopt = compile(&f, &[], OptLevel::Unoptimized).unwrap();
-        assert!(!slot.install(Arc::new(unopt)));
-        assert_eq!(slot.load().unwrap().kind(), ExecMode::Optimized);
+        // A lower-ranked late arrival (a racing O0 compile) is refused;
+        // the best published backend stays.
+        assert!(!slot.install(native(&f, OptLevel::Unoptimized)));
+        assert_eq!(slot.load().unwrap().kind(), ExecMode::Native);
     }
 
     #[test]
@@ -929,12 +944,14 @@ mod tests {
         // installed into a FunctionHandle.
         let f = identity_function();
         let shared = Arc::new(f.clone());
-        let backends: Vec<Arc<dyn PipelineBackend>> = vec![
+        let mut backends: Vec<Arc<dyn PipelineBackend>> = vec![
             Arc::new(NaiveBackend::new(shared)),
             Arc::new(translate(&f, &[], TranslateOptions::default()).unwrap()),
-            Arc::new(compile(&f, &[], OptLevel::Unoptimized).unwrap()),
-            Arc::new(compile(&f, &[], OptLevel::Optimized).unwrap()),
         ];
+        if enabled() {
+            backends.push(native(&f, OptLevel::Unoptimized));
+            backends.push(native(&f, OptLevel::Optimized));
+        }
         let rt = Registry::new();
         let mut frame = Frame::new();
         for b in backends {

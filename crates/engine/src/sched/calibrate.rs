@@ -23,20 +23,19 @@ use std::time::Duration;
 /// time"); speedups are global empirical factors (§V-D).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
+    /// O0 machine code: the unoptimized step stream, template-lowered.
     pub unopt_base_s: f64,
     pub unopt_per_instr_s: f64,
-    pub opt_base_s: f64,
-    pub opt_per_instr_s: f64,
+    /// O2 machine code: passes, coalescing, register allocation, lowering.
     pub native_base_s: f64,
     pub native_per_instr_s: f64,
     /// Reaching the SIMD tier costs a native compile plus the (cheap)
     /// kernel wrap, so its constants sit just above the native ones.
     pub simd_base_s: f64,
     pub simd_per_instr_s: f64,
-    /// Execution speedup of unoptimized / optimized threaded code, native
-    /// machine code, and kernel-fronted native code over bytecode.
+    /// Execution speedup of O0 and O2 machine code, and of kernel-fronted
+    /// O2 code, over bytecode.
     pub speedup_unopt: f64,
-    pub speedup_opt: f64,
     pub speedup_native: f64,
     /// Only meaningful on pipelines with a vectorizable filter — the
     /// controller never proposes the SIMD level elsewhere. Selective
@@ -50,18 +49,18 @@ impl Default for CostModel {
         // Defaults measured on this reproduction's backends (see
         // EXPERIMENTS.md); recalibrated mid-query by `CostCalibrator`.
         CostModel {
-            unopt_base_s: 30e-6,
-            unopt_per_instr_s: 0.4e-6,
-            opt_base_s: 80e-6,
-            opt_per_instr_s: 4.0e-6,
-            // Native runs the whole optimized pipeline plus instruction
-            // emission and an mmap/mprotect round trip.
+            // O0 costs ~0.37× an O2 compile of the same module and runs
+            // ~2.5× faster than bytecode (EXPERIMENTS.md derives both).
+            unopt_base_s: 55e-6,
+            unopt_per_instr_s: 1.8e-6,
+            // O2 runs the whole optimized pipeline plus register
+            // allocation, instruction emission and an mmap/mprotect round
+            // trip.
             native_base_s: 150e-6,
             native_per_instr_s: 5.0e-6,
             simd_base_s: 160e-6,
             simd_per_instr_s: 5.0e-6,
-            speedup_unopt: 1.5,
-            speedup_opt: 2.2,
+            speedup_unopt: 2.5,
             speedup_native: 6.0,
             speedup_simd: 9.0,
         }
@@ -75,7 +74,6 @@ impl CostModel {
         match level {
             ExecLevel::Interpreted => 0.0,
             ExecLevel::Unoptimized => self.unopt_base_s + self.unopt_per_instr_s * instrs as f64,
-            ExecLevel::Optimized => self.opt_base_s + self.opt_per_instr_s * instrs as f64,
             ExecLevel::Native => self.native_base_s + self.native_per_instr_s * instrs as f64,
             ExecLevel::Simd => self.simd_base_s + self.simd_per_instr_s * instrs as f64,
         }
@@ -85,7 +83,6 @@ impl CostModel {
         match level {
             ExecLevel::Interpreted => 1.0,
             ExecLevel::Unoptimized => self.speedup_unopt,
-            ExecLevel::Optimized => self.speedup_opt,
             ExecLevel::Native => self.speedup_native,
             ExecLevel::Simd => self.speedup_simd,
         }
@@ -181,7 +178,6 @@ impl CostCalibrator {
         let (base, per) = match level {
             ExecLevel::Interpreted => return, // nothing was compiled
             ExecLevel::Unoptimized => (g.model.unopt_base_s, &mut g.model.unopt_per_instr_s),
-            ExecLevel::Optimized => (g.model.opt_base_s, &mut g.model.opt_per_instr_s),
             ExecLevel::Native => (g.model.native_base_s, &mut g.model.native_per_instr_s),
             ExecLevel::Simd => (g.model.simd_base_s, &mut g.model.simd_per_instr_s),
         };
@@ -202,7 +198,6 @@ impl CostCalibrator {
             ExecLevel::Unoptimized => {
                 g.model.speedup_unopt = blend(g.model.speedup_unopt, observed)
             }
-            ExecLevel::Optimized => g.model.speedup_opt = blend(g.model.speedup_opt, observed),
             ExecLevel::Native => g.model.speedup_native = blend(g.model.speedup_native, observed),
             ExecLevel::Simd => g.model.speedup_simd = blend(g.model.speedup_simd, observed),
         }
@@ -226,9 +221,9 @@ mod tests {
     #[test]
     fn ctime_is_linear_in_instrs() {
         let m = CostModel::default();
-        let a = m.ctime(ExecLevel::Optimized, 1000);
-        let b = m.ctime(ExecLevel::Optimized, 2000);
-        assert!((b - a - m.opt_per_instr_s * 1000.0).abs() < 1e-12);
+        let a = m.ctime(ExecLevel::Native, 1000);
+        let b = m.ctime(ExecLevel::Native, 2000);
+        assert!((b - a - m.native_per_instr_s * 1000.0).abs() < 1e-12);
     }
 
     #[test]
@@ -236,22 +231,22 @@ mod tests {
         let c = CostCalibrator::new(CostModel::default());
         assert!(!c.is_calibrated());
         // 10k instrs measured at 100 ms: vastly above the default model.
-        c.record_compile(ExecLevel::Optimized, 10_000, Duration::from_millis(100));
+        c.record_compile(ExecLevel::Unoptimized, 10_000, Duration::from_millis(100));
         assert!(c.is_calibrated());
         let m = c.model();
-        assert!(m.opt_per_instr_s > CostModel::default().opt_per_instr_s);
+        assert!(m.unopt_per_instr_s > CostModel::default().unopt_per_instr_s);
         assert_eq!(c.report().compile_observations, 1);
-        // Unopt constants untouched.
-        assert_eq!(m.unopt_per_instr_s, CostModel::default().unopt_per_instr_s);
+        // O2 constants untouched.
+        assert_eq!(m.native_per_instr_s, CostModel::default().native_per_instr_s);
     }
 
     #[test]
     fn speedup_feedback_is_clamped_and_blended() {
         let c = CostCalibrator::new(CostModel::default());
-        c.record_speedup(ExecLevel::Optimized, 0.2); // an "upgrade" can't model as a slowdown
+        c.record_speedup(ExecLevel::Unoptimized, 0.2); // an "upgrade" can't model as a slowdown
         let m = c.model();
-        assert!(m.speedup_opt >= SPEEDUP_FLOOR * BLEND);
-        assert!(m.speedup_opt < CostModel::default().speedup_opt);
+        assert!(m.speedup_unopt >= SPEEDUP_FLOOR * BLEND);
+        assert!(m.speedup_unopt < CostModel::default().speedup_unopt);
         c.record_speedup(ExecLevel::Unoptimized, f64::NAN); // ignored
         assert_eq!(c.report().speedup_observations, 1);
     }
@@ -271,8 +266,8 @@ mod tests {
         let m = c.model();
         assert!(m.native_per_instr_s > CostModel::default().native_per_instr_s);
         assert!(m.speedup_native > CostModel::default().speedup_native);
-        assert_eq!(m.opt_per_instr_s, CostModel::default().opt_per_instr_s);
-        assert_eq!(m.speedup_opt, CostModel::default().speedup_opt);
+        assert_eq!(m.unopt_per_instr_s, CostModel::default().unopt_per_instr_s);
+        assert_eq!(m.speedup_unopt, CostModel::default().speedup_unopt);
         // Interpreted is not a compile target: both feedback kinds ignore it.
         c.record_compile(ExecLevel::Interpreted, 1000, Duration::from_secs(1));
         c.record_speedup(ExecLevel::Interpreted, 3.0);

@@ -25,8 +25,9 @@ use crate::sched::progress::PipelineProgress;
 use crate::sched::quarantine::PipelineQuarantine;
 use crate::simd::{self, ScanKernel, SimdScanBackend};
 use aqe_ir::{ExternDecl, Function};
-use aqe_jit::compile::{compile, OptLevel};
-use aqe_vm::backend::ExecMode;
+use aqe_jit::compile::OptLevel;
+use aqe_jit::native::{compile_native_at, NativeError};
+use aqe_vm::backend::{ExecMode, PipelineBackend};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -41,9 +42,9 @@ use std::time::{Duration, Instant};
 pub enum ExecLevel {
     /// Bytecode or naive-IR interpretation (speedup factor 1).
     Interpreted,
+    /// O0 machine code (`ExecMode::Unoptimized`, rank 2).
     Unoptimized,
-    Optimized,
-    /// Real machine code (`aqe_jit::native`, rank 4).
+    /// O2 machine code (`ExecMode::Native`, rank 4).
     Native,
     /// Native code behind a vectorized scan-kernel pre-pass (rank 5).
     Simd,
@@ -56,8 +57,6 @@ impl ExecLevel {
             ExecLevel::Simd
         } else if rank >= ExecMode::Native.rank() {
             ExecLevel::Native
-        } else if rank >= ExecMode::Optimized.rank() {
-            ExecLevel::Optimized
         } else if rank >= ExecMode::Unoptimized.rank() {
             ExecLevel::Unoptimized
         } else {
@@ -70,44 +69,43 @@ impl ExecLevel {
         model.speedup(self)
     }
 
-    /// The levels a compilation can target, in rank order.
-    pub const COMPILED: [ExecLevel; 4] =
-        [ExecLevel::Unoptimized, ExecLevel::Optimized, ExecLevel::Native, ExecLevel::Simd];
-}
-
-/// Fig. 7's decision outcome.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ModeChoice {
-    DoNothing,
-    Unoptimized,
-    Optimized,
-    Native,
-    Simd,
-}
-
-impl ModeChoice {
-    fn of(level: ExecLevel) -> ModeChoice {
-        match level {
-            ExecLevel::Interpreted => ModeChoice::DoNothing,
-            ExecLevel::Unoptimized => ModeChoice::Unoptimized,
-            ExecLevel::Optimized => ModeChoice::Optimized,
-            ExecLevel::Native => ModeChoice::Native,
-            ExecLevel::Simd => ModeChoice::Simd,
+    /// The backend rank a pipeline reaches at this level.
+    pub fn rank(self) -> u8 {
+        match self {
+            ExecLevel::Interpreted => ExecMode::Bytecode.rank(),
+            ExecLevel::Unoptimized => ExecMode::Unoptimized.rank(),
+            ExecLevel::Native => ExecMode::Native.rank(),
+            ExecLevel::Simd => ExecMode::Simd.rank(),
         }
+    }
+
+    /// The levels a compilation can target, in rank order.
+    pub const COMPILED: [ExecLevel; 3] =
+        [ExecLevel::Unoptimized, ExecLevel::Native, ExecLevel::Simd];
+
+    /// The compiled levels this process can reach for a pipeline: both
+    /// native levels where the emitter is live, and the SIMD level where
+    /// the pipeline has a scan kernel and `AQE_SIMD` allows it (over
+    /// bytecode when there is no emitter).
+    pub fn available(native: bool, simd: bool) -> Vec<ExecLevel> {
+        ExecLevel::COMPILED
+            .into_iter()
+            .filter(|&l| if l == ExecLevel::Simd { simd } else { native })
+            .collect()
     }
 }
 
 /// `extrapolatePipelineDurations` (Fig. 7, verbatim structure): given the
 /// remaining tuples `n`, the number of active workers `w`, the observed
 /// current processing rate `r0` (tuples/s per thread), the model, and the
-/// level the pipeline is *currently* executing at, pick the cheapest plan.
+/// level the pipeline is *currently* executing at, pick the cheapest plan:
+/// the level to compile to, or `None` to do nothing.
 ///
 /// A compilation level is only a candidate when it lies strictly above
 /// `current` — the hot-swap handle refuses downgrades, so proposing the
-/// current level or below would waste the (single) compile slot — and at
-/// or below `ceiling`, the highest level this process can actually
-/// compile (`Native` only where `aqe_jit::native` has an emitter and
-/// `AQE_NATIVE` does not force the fallback).
+/// current level or below would waste the (single) compile slot — and is
+/// one of `levels`, the levels this process can actually compile (see
+/// [`ExecLevel::available`]).
 pub fn extrapolate_pipeline_durations(
     model: &CostModel,
     instrs: usize,
@@ -115,16 +113,16 @@ pub fn extrapolate_pipeline_durations(
     w: f64,
     r0: f64,
     current: ExecLevel,
-    ceiling: ExecLevel,
-) -> ModeChoice {
+    levels: &[ExecLevel],
+) -> Option<ExecLevel> {
     if r0 <= 0.0 || n <= 0.0 {
-        return ModeChoice::DoNothing;
+        return None;
     }
     let cur_speedup = current.speedup(model);
     let t0 = n / r0 / w;
-    let mut best = (t0, ModeChoice::DoNothing);
-    for cand in ExecLevel::COMPILED {
-        if cand <= current || cand > ceiling {
+    let mut best = (t0, None);
+    for &cand in levels {
+        if cand <= current {
             continue;
         }
         let r = r0 * (model.speedup(cand) / cur_speedup);
@@ -132,7 +130,7 @@ pub fn extrapolate_pipeline_durations(
         // While compiling, w-1 workers keep processing at the current rate.
         let t = c + (n - (w - 1.0) * r0 * c).max(0.0) / r / w;
         if t < best.0 && r > r0 {
-            best = (t, ModeChoice::of(cand));
+            best = (t, Some(cand));
         }
     }
     best.1
@@ -191,9 +189,9 @@ pub struct ControllerCtx {
     /// for this run's end-of-query harvest.
     pub retained: Option<Arc<RetainedSlot>>,
     /// The pipeline's vectorized filter pre-pass, when one was extracted
-    /// from the plan: its presence is what raises the controller's
-    /// ceiling from `Native` to `Simd`, and the background compile wraps
-    /// the freshly compiled scalar backend in it.
+    /// from the plan: its presence is what makes `Simd` available to the
+    /// controller, and the background compile wraps the scalar backend
+    /// in it.
     pub kernel: Option<Arc<ScanKernel>>,
     pub progress: Arc<PipelineProgress>,
     pub calibrator: Arc<CostCalibrator>,
@@ -237,9 +235,10 @@ pub struct AdaptiveController {
     calibrated: bool,
     /// Backend level installed when the controller was constructed.
     start_level: ExecLevel,
-    /// Highest level this process can compile to (snapshotted once: the
-    /// `AQE_NATIVE` gate is not re-read on the per-morsel decision path).
-    ceiling: ExecLevel,
+    /// Levels this process can compile to (snapshotted once: the
+    /// `AQE_NATIVE`/`AQE_SIMD` gates are not re-read on the per-morsel
+    /// decision path).
+    levels: Vec<ExecLevel>,
     instrs: usize,
     pipeline_start: Instant,
     poll_us: u64,
@@ -261,18 +260,15 @@ impl AdaptiveController {
         let start_level = ExecLevel::from_rank(ctx.handle.rank());
         let instrs = ctx.function.instruction_count();
         let first_us = ctx.first_eval.as_micros() as u64;
-        let ceiling = if ctx.kernel.is_some() && simd::enabled() {
-            ExecLevel::Simd
-        } else if aqe_jit::native::enabled() {
-            ExecLevel::Native
-        } else {
-            ExecLevel::Optimized
-        };
+        let levels = ExecLevel::available(
+            aqe_jit::native::enabled(),
+            ctx.kernel.is_some() && simd::enabled(),
+        );
         AdaptiveController {
             model,
             calibrated,
             start_level,
-            ceiling,
+            levels,
             instrs,
             pipeline_start: Instant::now(),
             poll_us: first_us.max(50),
@@ -328,41 +324,29 @@ impl AdaptiveController {
         // Lock-free poll of the current backend via the cached rank — the
         // decision path never touches the handle's lock.
         let current = ExecLevel::from_rank(self.ctx.handle.rank());
-        let choice = extrapolate_pipeline_durations(
+        let target = extrapolate_pipeline_durations(
             &self.model,
             self.instrs,
             n,
             w,
             r0,
             current,
-            self.ceiling,
+            &self.levels,
         );
-        let target = match choice {
-            ModeChoice::DoNothing => None,
-            ModeChoice::Unoptimized if current < ExecLevel::Unoptimized => {
-                Some(ExecLevel::Unoptimized)
-            }
-            ModeChoice::Optimized if current < ExecLevel::Optimized => Some(ExecLevel::Optimized),
-            ModeChoice::Native if current < ExecLevel::Native => Some(ExecLevel::Native),
-            ModeChoice::Simd if current < ExecLevel::Simd => Some(ExecLevel::Simd),
-            _ => None,
-        };
         let Some(mut level) = target else { return };
         // Ladder degradation: a tier whose compile failed recently is
-        // quarantined — fall to the next-lower rung that is still an
-        // upgrade, or do nothing this round (the next execution after
-        // the skip budget is spent probes the tier again).
+        // quarantined — fall to the next-lower available rung that is
+        // still an upgrade, or do nothing this round (the next execution
+        // after the skip budget is spent probes the tier again).
         if let Some(q) = &self.ctx.quarantine {
             while q.blocked(level) {
-                level = match level {
-                    ExecLevel::Simd => ExecLevel::Native,
-                    ExecLevel::Native => ExecLevel::Optimized,
-                    ExecLevel::Optimized => ExecLevel::Unoptimized,
-                    _ => return,
+                let Some(&lower) = self.levels.iter().rev().find(|&&l| l < level) else {
+                    return;
                 };
-                if level <= current {
+                if lower <= current {
                     return;
                 }
+                level = lower;
             }
         }
         // A concurrent execution of the same prepared query may already
@@ -372,14 +356,7 @@ impl AdaptiveController {
         // compile. Rate bookkeeping mirrors a compile install: reset the
         // window so the post-switch rate is measured at the new level.
         if let Some(retained) = &self.ctx.retained {
-            let needed = match level {
-                ExecLevel::Interpreted => ExecMode::Bytecode.rank(),
-                ExecLevel::Unoptimized => ExecMode::Unoptimized.rank(),
-                ExecLevel::Optimized => ExecMode::Optimized.rank(),
-                ExecLevel::Native => ExecMode::Native.rank(),
-                ExecLevel::Simd => ExecMode::Simd.rank(),
-            };
-            if retained.rank() >= needed {
+            if retained.rank() >= level.rank() {
                 if let Some(b) = retained.load() {
                     if self.ctx.handle.install(b) {
                         progress.reset_window();
@@ -519,52 +496,33 @@ struct CompileJob {
 }
 
 impl CompileJob {
-    /// Compile to the claimed level. `Native` goes through the machine-code
-    /// emitter; the threaded levels through the classic driver. Returns
-    /// the backend plus its measured compile wall time.
-    fn compile_to_level(
-        &self,
-    ) -> Result<(Arc<dyn aqe_vm::backend::PipelineBackend>, std::time::Duration), String> {
+    /// Compile to the claimed level: O0 or O2 machine code, or O2 under
+    /// the pipeline's scan kernel. Returns the backend plus its measured
+    /// compile wall time.
+    fn compile_to_level(&self) -> Result<(Arc<dyn PipelineBackend>, Duration), String> {
+        let native = |level| {
+            compile_native_at(&self.function, &self.externs, level).map(|nf| {
+                let t = nf.stats.compile_time;
+                (Arc::new(nf) as Arc<dyn PipelineBackend>, t)
+            })
+        };
         match self.level {
             ExecLevel::Interpreted => Err("interpretation is not a compile target".to_string()),
-            ExecLevel::Unoptimized | ExecLevel::Optimized => {
-                let level = if self.level == ExecLevel::Unoptimized {
-                    OptLevel::Unoptimized
-                } else {
-                    OptLevel::Optimized
-                };
-                let cf =
-                    compile(&self.function, &self.externs, level).map_err(|e| e.to_string())?;
-                let t = cf.stats.compile_time;
-                Ok((Arc::new(cf), t))
-            }
-            ExecLevel::Native => {
-                let nf = aqe_jit::native::compile_native(&self.function, &self.externs)
-                    .map_err(|e| e.to_string())?;
-                let t = nf.stats.compile_time;
-                Ok((Arc::new(nf), t))
-            }
+            ExecLevel::Unoptimized => native(OptLevel::Unoptimized).map_err(|e| e.to_string()),
+            ExecLevel::Native => native(OptLevel::Optimized).map_err(|e| e.to_string()),
             ExecLevel::Simd => {
                 aqe_fault::failpoint("simd_compile")?;
                 let kernel =
                     self.kernel.clone().ok_or("simd claimed without a scan kernel".to_string())?;
-                // The scalar code under the kernel: native where the
-                // emitter works, optimized threaded code otherwise — the
-                // kernel only pre-filters, so any scalar backend is a
-                // correct inner.
-                let (inner, t): (Arc<dyn aqe_vm::backend::PipelineBackend>, Duration) =
-                    match aqe_jit::native::compile_native(&self.function, &self.externs) {
-                        Ok(nf) => {
-                            let t = nf.stats.compile_time;
-                            (Arc::new(nf), t)
-                        }
-                        Err(_) => {
-                            let cf = compile(&self.function, &self.externs, OptLevel::Optimized)
-                                .map_err(|e| e.to_string())?;
-                            let t = cf.stats.compile_time;
-                            (Arc::new(cf), t)
-                        }
-                    };
+                // The scalar code under the kernel: O2 where the emitter
+                // works, the pipeline's current (interpreted) backend
+                // otherwise — the kernel only pre-filters, so any scalar
+                // backend is a correct inner.
+                let (inner, t) = match native(OptLevel::Optimized) {
+                    Ok(compiled) => compiled,
+                    Err(NativeError::Unavailable(_)) => (self.handle.load(), Duration::ZERO),
+                    Err(e) => return Err(e.to_string()),
+                };
                 Ok((Arc::new(SimdScanBackend::new(inner, kernel)), t))
             }
         }
@@ -674,7 +632,7 @@ mod tests {
             exec_start: Instant::now(),
             pid: 0,
             instrs: 2,
-            level: ExecLevel::Optimized,
+            level: ExecLevel::Native,
             installed: Arc::new(AtomicBool::new(false)),
             quarantine: None,
             degraded: Arc::new(AtomicU64::new(0)),
@@ -692,14 +650,28 @@ mod tests {
         assert_eq!(ExecLevel::from_rank(ExecMode::NaiveIr.rank()), ExecLevel::Interpreted);
         assert_eq!(ExecLevel::from_rank(ExecMode::Bytecode.rank()), ExecLevel::Interpreted);
         assert_eq!(ExecLevel::from_rank(ExecMode::Unoptimized.rank()), ExecLevel::Unoptimized);
-        assert_eq!(ExecLevel::from_rank(ExecMode::Optimized.rank()), ExecLevel::Optimized);
+        assert_eq!(ExecLevel::from_rank(ExecMode::Optimized.rank()), ExecLevel::Native);
         assert_eq!(ExecLevel::from_rank(ExecMode::Native.rank()), ExecLevel::Native);
         assert_eq!(ExecLevel::from_rank(ExecMode::Simd.rank()), ExecLevel::Simd);
+        for level in [ExecLevel::Interpreted].into_iter().chain(ExecLevel::COMPILED) {
+            assert_eq!(ExecLevel::from_rank(level.rank()), level);
+        }
         assert!(ExecLevel::Interpreted < ExecLevel::Unoptimized);
-        assert!(ExecLevel::Unoptimized < ExecLevel::Optimized);
-        assert!(ExecLevel::Optimized < ExecLevel::Native);
+        assert!(ExecLevel::Unoptimized < ExecLevel::Native);
         assert!(ExecLevel::Native < ExecLevel::Simd);
     }
+
+    #[test]
+    fn available_levels_follow_the_gates() {
+        use ExecLevel::*;
+        assert_eq!(ExecLevel::available(true, true), vec![Unoptimized, Native, Simd]);
+        assert_eq!(ExecLevel::available(true, false), vec![Unoptimized, Native]);
+        // SIMD kernels over bytecode: the only rung without an emitter.
+        assert_eq!(ExecLevel::available(false, true), vec![Simd]);
+        assert!(ExecLevel::available(false, false).is_empty());
+    }
+
+    const NATIVE_LEVELS: [ExecLevel; 2] = [ExecLevel::Unoptimized, ExecLevel::Native];
 
     #[test]
     fn extrapolation_prefers_interpretation_for_tiny_work() {
@@ -713,9 +685,9 @@ mod tests {
             4.0,
             1e6,
             ExecLevel::Interpreted,
-            ExecLevel::Native,
+            &NATIVE_LEVELS,
         );
-        assert_eq!(c, ModeChoice::DoNothing);
+        assert_eq!(c, None);
     }
 
     #[test]
@@ -729,17 +701,16 @@ mod tests {
             4.0,
             1e7,
             ExecLevel::Interpreted,
-            ExecLevel::Native,
+            &NATIVE_LEVELS,
         );
-        assert_ne!(c, ModeChoice::DoNothing);
+        assert_ne!(c, None);
     }
 
     #[test]
     fn extrapolation_upgrades_from_unopt_to_opt() {
         let m = CostModel::default();
-        // Already running unoptimized code; for huge remaining work the
-        // optimized mode should still win — and unoptimized must never be
-        // re-proposed.
+        // Already running O0 code; for huge remaining work O2 should
+        // still win — and O0 must never be re-proposed.
         let c = extrapolate_pipeline_durations(
             &m,
             2000,
@@ -747,9 +718,9 @@ mod tests {
             4.0,
             2e7,
             ExecLevel::Unoptimized,
-            ExecLevel::Optimized,
+            &NATIVE_LEVELS,
         );
-        assert_eq!(c, ModeChoice::Optimized);
+        assert_eq!(c, Some(ExecLevel::Native));
     }
 
     #[test]
@@ -761,17 +732,17 @@ mod tests {
             1e9,
             4.0,
             2e7,
-            ExecLevel::Optimized,
-            ExecLevel::Optimized,
+            ExecLevel::Native,
+            &NATIVE_LEVELS,
         );
-        assert_eq!(c, ModeChoice::DoNothing);
+        assert_eq!(c, None);
     }
 
     #[test]
     fn extrapolation_reaches_native_for_huge_work() {
         let m = CostModel::default();
-        // Enormous remaining work: the native tier's higher compile cost
-        // amortizes and its higher speedup wins outright.
+        // Enormous remaining work: O2's higher compile cost amortizes and
+        // its higher speedup wins outright.
         let c = extrapolate_pipeline_durations(
             &m,
             2000,
@@ -779,25 +750,28 @@ mod tests {
             4.0,
             2e7,
             ExecLevel::Interpreted,
-            ExecLevel::Native,
+            &NATIVE_LEVELS,
         );
-        assert_eq!(c, ModeChoice::Native);
-        // From optimized code the only remaining upgrade is native.
-        let c = extrapolate_pipeline_durations(
-            &m,
-            2000,
-            1e9,
-            4.0,
-            5e7,
-            ExecLevel::Optimized,
-            ExecLevel::Native,
-        );
-        assert_eq!(c, ModeChoice::Native);
+        assert_eq!(c, Some(ExecLevel::Native));
     }
 
     #[test]
     fn ceiling_caps_the_choice_below_native() {
         let m = CostModel::default();
+        // Only available levels are proposed: without the emitter nothing
+        // but the SIMD rung can be compiled.
+        for levels in [&[][..], &[ExecLevel::Simd][..]] {
+            let c = extrapolate_pipeline_durations(
+                &m,
+                2000,
+                1e9,
+                4.0,
+                2e7,
+                ExecLevel::Interpreted,
+                levels,
+            );
+            assert!(matches!(c, None | Some(ExecLevel::Simd)), "{c:?}");
+        }
         let c = extrapolate_pipeline_durations(
             &m,
             2000,
@@ -805,18 +779,8 @@ mod tests {
             4.0,
             2e7,
             ExecLevel::Interpreted,
-            ExecLevel::Optimized,
+            &[ExecLevel::Unoptimized],
         );
-        assert_ne!(c, ModeChoice::Native, "the fallback ceiling must exclude native");
-        let c = extrapolate_pipeline_durations(
-            &m,
-            2000,
-            1e9,
-            4.0,
-            2e7,
-            ExecLevel::Optimized,
-            ExecLevel::Optimized,
-        );
-        assert_eq!(c, ModeChoice::DoNothing);
+        assert_eq!(c, Some(ExecLevel::Unoptimized), "O0 alone must not be capped further");
     }
 }

@@ -2,7 +2,7 @@
 //! failed for which pipeline, skip them for a while, then probe again.
 //!
 //! Graceful ladder degradation (DESIGN.md §14) means a failed
-//! Native/SIMD/threaded compile never surfaces to the caller — the
+//! O0/O2/SIMD compile never surfaces to the caller — the
 //! execution continues one rung down. But retrying a broken tier on
 //! *every* execution would pay the doomed compile each time, so the
 //! engine-wide [`QuarantineStore`] records each failure keyed by
@@ -95,7 +95,7 @@ struct PqInner {
     /// Verdict cache, indexed by compiled level (see `idx`): consulting
     /// the store decrements the skip budget, so each execution must ask
     /// at most once per tier.
-    cached: [OnceLock<bool>; 4],
+    cached: [OnceLock<bool>; 3],
 }
 
 /// One execution's quarantine view of one pipeline. Cheap to clone
@@ -111,9 +111,8 @@ impl PipelineQuarantine {
         match level {
             ExecLevel::Interpreted => None,
             ExecLevel::Unoptimized => Some(0),
-            ExecLevel::Optimized => Some(1),
-            ExecLevel::Native => Some(2),
-            ExecLevel::Simd => Some(3),
+            ExecLevel::Native => Some(1),
+            ExecLevel::Simd => Some(2),
         }
     }
 
@@ -204,12 +203,12 @@ mod tests {
     #[test]
     fn success_clears_and_refailure_rearms() {
         let s = store();
-        s.pipeline(1, 0).record_failure(ExecLevel::Optimized);
+        s.pipeline(1, 0).record_failure(ExecLevel::Unoptimized);
         assert_eq!(s.active(), 1);
-        s.pipeline(1, 0).record_success(ExecLevel::Optimized);
+        s.pipeline(1, 0).record_success(ExecLevel::Unoptimized);
         assert_eq!(s.active(), 0);
-        assert!(!s.pipeline(1, 0).blocked(ExecLevel::Optimized));
-        s.pipeline(1, 0).record_failure(ExecLevel::Optimized);
-        assert!(s.pipeline(1, 0).blocked(ExecLevel::Optimized));
+        assert!(!s.pipeline(1, 0).blocked(ExecLevel::Unoptimized));
+        s.pipeline(1, 0).record_failure(ExecLevel::Unoptimized);
+        assert!(s.pipeline(1, 0).blocked(ExecLevel::Unoptimized));
     }
 }

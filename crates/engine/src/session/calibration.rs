@@ -77,14 +77,11 @@ fn blend(old: &CostModel, new: &CostModel) -> CostModel {
     CostModel {
         unopt_base_s: mix(old.unopt_base_s, new.unopt_base_s),
         unopt_per_instr_s: mix(old.unopt_per_instr_s, new.unopt_per_instr_s),
-        opt_base_s: mix(old.opt_base_s, new.opt_base_s),
-        opt_per_instr_s: mix(old.opt_per_instr_s, new.opt_per_instr_s),
         native_base_s: mix(old.native_base_s, new.native_base_s),
         native_per_instr_s: mix(old.native_per_instr_s, new.native_per_instr_s),
         simd_base_s: mix(old.simd_base_s, new.simd_base_s),
         simd_per_instr_s: mix(old.simd_per_instr_s, new.simd_per_instr_s),
         speedup_unopt: mix(old.speedup_unopt, new.speedup_unopt),
-        speedup_opt: mix(old.speedup_opt, new.speedup_opt),
         speedup_native: mix(old.speedup_native, new.speedup_native),
         speedup_simd: mix(old.speedup_simd, new.speedup_simd),
     }
@@ -153,11 +150,11 @@ impl CalibrationStore {
 mod tests {
     use super::*;
 
-    fn report_with(opt_per_instr_s: f64) -> CalibrationReport {
+    fn report_with(native_per_instr_s: f64) -> CalibrationReport {
         CalibrationReport {
             compile_observations: 1,
             speedup_observations: 0,
-            model: CostModel { opt_per_instr_s, ..CostModel::default() },
+            model: CostModel { native_per_instr_s, ..CostModel::default() },
         }
     }
 
@@ -174,7 +171,7 @@ mod tests {
         let shape = WorkloadShape::new(2, 1000);
         s.absorb(shape, &report_with(9.0e-6));
         let m = s.seed(shape).expect("seed after absorb");
-        assert!((m.opt_per_instr_s - 9.0e-6).abs() < 1e-12);
+        assert!((m.native_per_instr_s - 9.0e-6).abs() < 1e-12);
         assert_eq!(s.len(), 1);
         assert_eq!(s.absorbed(), 1);
     }
@@ -185,7 +182,7 @@ mod tests {
         s.absorb(WorkloadShape::new(2, 1000), &report_with(9.0e-6));
         let other = WorkloadShape::new(5, 64);
         let m = s.seed(other).expect("global fallback");
-        assert!((m.opt_per_instr_s - 9.0e-6).abs() < 1e-12);
+        assert!((m.native_per_instr_s - 9.0e-6).abs() < 1e-12);
     }
 
     #[test]
@@ -215,6 +212,6 @@ mod tests {
         s.absorb(shape, &report_with(8.0e-6));
         s.absorb(shape, &report_with(16.0e-6));
         let m = s.seed(shape).unwrap();
-        assert!((m.opt_per_instr_s - 12.0e-6).abs() < 1e-12, "50/50 blend");
+        assert!((m.native_per_instr_s - 12.0e-6).abs() < 1e-12, "50/50 blend");
     }
 }

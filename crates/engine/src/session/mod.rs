@@ -46,7 +46,7 @@ use crate::plan::{decompose, DictTable, FieldTy, PhysicalPlan, PlanNode, Source}
 use crate::sched::{CostCalibrator, CostModel, ExecLevel, PipelineQuarantine, QuarantineStore};
 use crate::simd::{self, ScanKernel, SimdScanBackend};
 use aqe_ir::{ExternDecl, Function, Module};
-use aqe_jit::compile::{compile, OptLevel};
+use aqe_jit::compile::OptLevel;
 use aqe_storage::{Catalog, CatalogSnapshot, DataType};
 use aqe_vm::interp::ExecError;
 use aqe_vm::naive::NaiveBackend;
@@ -827,21 +827,19 @@ impl PreparedQuery {
 
 /// Per-pipeline backend slots of one compiled state: the wait-free warm
 /// path. `best` is the rank-monotonic hot-swap slot adaptive runs seed
-/// from and background compiles publish into mid-flight; the four
-/// per-level latches hold the exact representation a static mode pins,
+/// from and background compiles publish into mid-flight; the per-level
+/// latches hold the exact representation a static mode pins,
 /// each a compile-once mutex held across its (cold) compile so racing
 /// executions of the same level compile once, and held for a pointer copy
 /// on every later (warm) read.
 pub(crate) struct PipelineSlots {
     best: Arc<RetainedSlot>,
     bytecode: Mutex<Option<Arc<dyn PipelineBackend>>>,
+    /// O0 and O2 machine code (ranks 2 and 4). Without the emitter both
+    /// stay `None` and the compiled modes alias to bytecode.
     unopt: Mutex<Option<Arc<dyn PipelineBackend>>>,
-    opt: Mutex<Option<Arc<dyn PipelineBackend>>>,
-    /// Native machine-code backend (rank 4). On targets without the
-    /// emitter this slot stays `None` and `ExecMode::Native` aliases to
-    /// the optimized threaded level.
     native: Mutex<Option<Arc<dyn PipelineBackend>>>,
-    /// Vectorized scan-kernel backend (rank 5): the native (or fallback)
+    /// Vectorized scan-kernel backend (rank 5): the O2 (or fallback)
     /// backend wrapped in a packed-compare filter pre-pass. Stays `None`
     /// on pipelines without a vectorizable filter and `ExecMode::Simd`
     /// aliases to `Native` there.
@@ -854,7 +852,6 @@ impl PipelineSlots {
             best: Arc::new(RetainedSlot::new()),
             bytecode: Mutex::new(None),
             unopt: Mutex::new(None),
-            opt: Mutex::new(None),
             native: Mutex::new(None),
             simd: Mutex::new(None),
         }
@@ -1022,35 +1019,17 @@ impl PreparedState {
             ExecMode::Bytecode => (0..n)
                 .map(|i| Arc::new(FunctionHandle::new(self.base_backend(i, report))))
                 .collect(),
-            ExecMode::Unoptimized | ExecMode::Optimized => {
-                let level = match mode {
-                    ExecMode::Unoptimized => OptLevel::Unoptimized,
-                    _ => OptLevel::Optimized,
-                };
+            ExecMode::Unoptimized | ExecMode::Optimized | ExecMode::Native | ExecMode::Simd => {
                 let t0 = Instant::now();
                 let mut hs = Vec::with_capacity(n);
                 for (i, q) in quarantine.iter().enumerate() {
-                    let backend = self.threaded_backend(i, level, q, report);
-                    hs.push(Arc::new(FunctionHandle::new(backend)));
-                }
-                report.upfront_compile = t0.elapsed();
-                hs
-            }
-            ExecMode::Native => {
-                let t0 = Instant::now();
-                let mut hs = Vec::with_capacity(n);
-                for (i, q) in quarantine.iter().enumerate() {
-                    let backend = self.native_backend(i, q, report);
-                    hs.push(Arc::new(FunctionHandle::new(backend)));
-                }
-                report.upfront_compile = t0.elapsed();
-                hs
-            }
-            ExecMode::Simd => {
-                let t0 = Instant::now();
-                let mut hs = Vec::with_capacity(n);
-                for (i, q) in quarantine.iter().enumerate() {
-                    let backend = self.simd_backend(i, q, report);
+                    let backend = match mode {
+                        ExecMode::Unoptimized => {
+                            self.compiled_backend(i, ExecLevel::Unoptimized, q, report)
+                        }
+                        ExecMode::Simd => self.simd_backend(i, q, report),
+                        _ => self.compiled_backend(i, ExecLevel::Native, q, report),
+                    };
                     hs.push(Arc::new(FunctionHandle::new(backend)));
                 }
                 report.upfront_compile = t0.elapsed();
@@ -1076,21 +1055,28 @@ impl PreparedState {
         Ok(handles)
     }
 
-    /// Pipeline `i`'s threaded-code backend at `level`, compiling and
-    /// retaining it if no prior run already did (the slot latch is held
-    /// across the compile, so racing executions compile once). A compile
-    /// failure — or a live quarantine on the tier — degrades to the next
-    /// rung down (`Optimized` → `Unoptimized` → bytecode/naive).
-    fn threaded_backend(
+    /// Pipeline `i`'s machine code at `level` (O0 for `Unoptimized`, O2
+    /// for `Native`), compiling and retaining it if no prior run already
+    /// did (the slot latch is held across the compile, so racing
+    /// executions compile once). Where the emitter is unavailable
+    /// (non-x86-64 targets, `AQE_NATIVE=0`) this is the clean alias: the
+    /// bytecode floor. A compile failure — or a live quarantine on the
+    /// tier — is counted and degrades to the next rung down (O2 → O0 →
+    /// bytecode/naive); every rung is semantically equivalent, so the
+    /// query still answers correctly.
+    fn compiled_backend(
         &self,
         i: usize,
-        level: OptLevel,
+        level: ExecLevel,
         q: &PipelineQuarantine,
         report: &mut Report,
     ) -> Arc<dyn PipelineBackend> {
-        let (slot, elevel) = match level {
-            OptLevel::Unoptimized => (&self.slots[i].unopt, ExecLevel::Unoptimized),
-            OptLevel::Optimized => (&self.slots[i].opt, ExecLevel::Optimized),
+        if !aqe_jit::native::enabled() {
+            return self.base_backend(i, report);
+        }
+        let (slot, opt) = match level {
+            ExecLevel::Unoptimized => (&self.slots[i].unopt, OptLevel::Unoptimized),
+            _ => (&self.slots[i].native, OptLevel::Optimized),
         };
         {
             let mut guard = slot.lock();
@@ -1099,17 +1085,17 @@ impl PreparedState {
             if let Some(b) = &*guard {
                 return b.clone();
             }
-            if !q.blocked(elevel) {
-                match compile(&self.functions[i], &self.externs, level) {
-                    Ok(cf) => {
-                        let b: Arc<dyn PipelineBackend> = Arc::new(cf);
+            if !q.blocked(level) {
+                match aqe_jit::native::compile_native_at(&self.functions[i], &self.externs, opt) {
+                    Ok(nf) => {
+                        let b: Arc<dyn PipelineBackend> = Arc::new(nf);
                         *guard = Some(b.clone());
                         self.slots[i].best.install(b.clone());
-                        q.record_success(elevel);
+                        q.record_success(level);
                         return b;
                     }
                     Err(_) => {
-                        q.record_failure(elevel);
+                        q.record_failure(level);
                         report.degraded += 1;
                     }
                 }
@@ -1118,56 +1104,17 @@ impl PreparedState {
             // compile cannot nest slot locks.
         }
         match level {
-            OptLevel::Optimized => self.threaded_backend(i, OptLevel::Unoptimized, q, report),
-            OptLevel::Unoptimized => self.base_backend(i, report),
+            ExecLevel::Native => self.compiled_backend(i, ExecLevel::Unoptimized, q, report),
+            _ => self.base_backend(i, report),
         }
     }
 
-    /// Pipeline `i`'s native machine-code backend — or, where the emitter
-    /// is unavailable (non-x86-64 targets, `AQE_NATIVE=0`), the clean
-    /// fallback alias: the optimized threaded backend. A genuine compile
-    /// *failure* (as opposed to unavailability) degrades the same way but
-    /// is counted and quarantines the tier — `Optimized` is semantically
-    /// equivalent, so the query still answers correctly.
-    fn native_backend(
-        &self,
-        i: usize,
-        q: &PipelineQuarantine,
-        report: &mut Report,
-    ) -> Arc<dyn PipelineBackend> {
-        {
-            let mut guard = self.slots[i].native.lock();
-            if let Some(b) = &*guard {
-                return b.clone();
-            }
-            if aqe_jit::native::enabled() && !q.blocked(ExecLevel::Native) {
-                match aqe_jit::native::compile_native(&self.functions[i], &self.externs) {
-                    Ok(nf) => {
-                        let b: Arc<dyn PipelineBackend> = Arc::new(nf);
-                        *guard = Some(b.clone());
-                        self.slots[i].best.install(b.clone());
-                        q.record_success(ExecLevel::Native);
-                        return b;
-                    }
-                    // Unavailability is an alias by design, not a fault.
-                    Err(aqe_jit::native::NativeError::Unavailable(_)) => {}
-                    Err(_) => {
-                        q.record_failure(ExecLevel::Native);
-                        report.degraded += 1;
-                    }
-                }
-            }
-            // Fall back below — with the native latch released, so the
-            // fallback compile cannot nest slot locks.
-        }
-        self.threaded_backend(i, OptLevel::Optimized, q, report)
-    }
-
-    /// Pipeline `i`'s vectorized scan-kernel backend — the native (or its
+    /// Pipeline `i`'s vectorized scan-kernel backend — the O2 (or its
     /// fallback) backend wrapped in the pipeline's [`ScanKernel`] — or,
     /// where no kernel was extracted or `AQE_SIMD=0`, the clean alias:
-    /// the native backend itself. Lock order is simd → native (the inner
-    /// compile takes the native latch); nothing takes them reversed.
+    /// the O2 backend itself. Lock order is simd → O2 → O0 (the inner
+    /// compile takes the O2 latch, its degradation the O0 one); nothing
+    /// takes them reversed.
     fn simd_backend(
         &self,
         i: usize,
@@ -1175,10 +1122,10 @@ impl PreparedState {
         report: &mut Report,
     ) -> Arc<dyn PipelineBackend> {
         let Some(kernel) = self.kernels.get(i).and_then(|k| k.clone()) else {
-            return self.native_backend(i, q, report);
+            return self.compiled_backend(i, ExecLevel::Native, q, report);
         };
         if !simd::enabled() {
-            return self.native_backend(i, q, report);
+            return self.compiled_backend(i, ExecLevel::Native, q, report);
         }
         {
             let mut guard = self.slots[i].simd.lock();
@@ -1189,9 +1136,9 @@ impl PreparedState {
                 // The assembly itself is a wrap and cannot fail, so the
                 // injectable fault site is the only failure source here;
                 // the inner backend is built by the (already contained)
-                // native path.
+                // O2 path.
                 if aqe_fault::failpoint("simd_compile").is_ok() {
-                    let inner = self.native_backend(i, q, report);
+                    let inner = self.compiled_backend(i, ExecLevel::Native, q, report);
                     let b: Arc<dyn PipelineBackend> = Arc::new(SimdScanBackend::new(inner, kernel));
                     *guard = Some(b.clone());
                     self.slots[i].best.install(b.clone());
@@ -1202,7 +1149,7 @@ impl PreparedState {
                 report.degraded += 1;
             }
         }
-        self.native_backend(i, q, report)
+        self.compiled_backend(i, ExecLevel::Native, q, report)
     }
 
     /// After a run: retain whatever backends the controller published, so
@@ -1214,7 +1161,6 @@ impl PreparedState {
             let b = h.load();
             let slot = match b.kind() {
                 ExecMode::Unoptimized => &slots.unopt,
-                ExecMode::Optimized => &slots.opt,
                 ExecMode::Native => &slots.native,
                 ExecMode::Simd => &slots.simd,
                 _ => continue,

@@ -88,7 +88,7 @@ fn oracle(cat: &Catalog, plan: &PlanNode) -> Vec<u64> {
     run_once(cat, plan, ExecMode::Bytecode, 1).expect("clean oracle run").0
 }
 
-/// Every Native and SIMD compile fails, including the W^X map: all
+/// Every machine-code and SIMD compile fails, including the W^X map: all
 /// seven modes still answer, bit-identical, through degraded ladders.
 #[test]
 fn forced_compile_failures_degrade_not_error() {
@@ -104,10 +104,14 @@ fn forced_compile_failures_degrade_not_error() {
             let (rows, report) = run_once(&cat, &plan, mode, threads)
                 .unwrap_or_else(|e| panic!("{mode:?}/{threads} must degrade, got {e}"));
             assert_eq!(rows, expect, "{mode:?}/{threads} degraded result mismatch");
-            // The pinned top tiers must have recorded their fall — when
-            // the native emitter is live at all (otherwise the modes
-            // alias downward and nothing failed).
-            if aqe_jit::native::enabled() && matches!(mode, ExecMode::Native | ExecMode::Simd) {
+            // Every pinned compiled mode must have recorded its fall —
+            // when the native emitter is live at all (otherwise the modes
+            // alias to bytecode and nothing failed).
+            let compiled = matches!(
+                mode,
+                ExecMode::Unoptimized | ExecMode::Optimized | ExecMode::Native | ExecMode::Simd
+            );
+            if aqe_jit::native::enabled() && compiled {
                 assert!(report.degraded > 0, "{mode:?}/{threads} should count its degradation");
             }
         }
@@ -291,9 +295,9 @@ fn adaptive_survives_panicking_compile_jobs() {
     };
     opts.model.unopt_base_s = 0.0;
     opts.model.unopt_per_instr_s = 0.0;
-    opts.model.opt_base_s = 0.0;
-    opts.model.opt_per_instr_s = 0.0;
-    opts.model.speedup_opt = 100.0;
+    opts.model.native_base_s = 0.0;
+    opts.model.native_per_instr_s = 0.0;
+    opts.model.speedup_native = 100.0;
     opts.model.speedup_unopt = 50.0;
 
     for _ in 0..6 {

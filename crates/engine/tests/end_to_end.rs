@@ -304,15 +304,19 @@ fn adaptive_mode_compiles_hot_pipelines_eventually() {
     };
     opts.model.unopt_base_s = 0.0;
     opts.model.unopt_per_instr_s = 0.0;
-    opts.model.opt_base_s = 0.0;
-    opts.model.opt_per_instr_s = 0.0;
-    opts.model.speedup_opt = 100.0; // make compilation irresistible
+    opts.model.native_base_s = 0.0;
+    opts.model.native_per_instr_s = 0.0;
+    opts.model.speedup_native = 100.0; // make compilation irresistible
     opts.model.speedup_unopt = 50.0;
     let engine = Engine::new(cat.clone());
     let session = engine.session();
     let prepared = session.prepare_plan(phys);
     let (res, report) = session.execute_with(&prepared, &opts).unwrap();
     assert_eq!(res.row_count(), 1);
+    if !aqe_jit::native::enabled() {
+        // No emitter and no scan kernel: nothing above bytecode to reach.
+        return;
+    }
     assert!(
         report.background_compiles > 0,
         "adaptive execution should have compiled at least one pipeline"
@@ -590,8 +594,6 @@ fn simd_mode_and_adaptive_ceiling_reach_the_kernel() {
     };
     opts.model.unopt_base_s = 0.0;
     opts.model.unopt_per_instr_s = 0.0;
-    opts.model.opt_base_s = 0.0;
-    opts.model.opt_per_instr_s = 0.0;
     opts.model.native_base_s = 0.0;
     opts.model.native_per_instr_s = 0.0;
     opts.model.simd_base_s = 0.0;

@@ -11,7 +11,7 @@
 
 use std::marker::PhantomData;
 
-/// A typed dense index. Implemented via [`define_key!`].
+/// A typed dense index. Implemented via [`define_key!`](crate::define_key).
 pub trait Key: Copy {
     fn index(self) -> usize;
     fn from_index(i: usize) -> Self;

@@ -3,7 +3,7 @@
 //! This crate is the "LLVM IR" substrate of the reproduction of *Adaptive
 //! Execution of Compiled Queries* (Kohn, Leis, Neumann; ICDE 2018). The query
 //! engine's code generator emits functions in this IR; the bytecode
-//! translator (`aqe-vm`) and the threaded-code backends (`aqe-jit`)
+//! translator (`aqe-vm`) and the machine-code backends (`aqe-jit`)
 //! consume it.
 //!
 //! The IR mirrors the subset of LLVM IR that a relational query compiler

@@ -1,8 +1,8 @@
-//! Threaded-code emission with superinstruction packing.
+//! Step-stream emission with superinstruction packing.
 //!
-//! "Machine code" in this reproduction is a sequence of pre-decoded steps;
-//! the packer fuses frequent instruction sequences into single-dispatch
-//! superinstructions (the generalisation of §IV-F the paper proposes as
+//! Native lowering ([`crate::native`]) consumes a sequence of pre-decoded
+//! steps; the packer fuses frequent instruction sequences into
+//! superinstructions that lower to one fused machine sequence each (the generalisation of §IV-F the paper proposes as
 //! future work: "In general, it would make sense to translate a large corpus
 //! of queries, and to check for frequently occurring sequences of
 //! instructions in order to replace them by macro instructions"). Patterns:
@@ -15,11 +15,12 @@
 //!
 //! Every superinstruction performs *all* the register and memory writes of
 //! the sequence it replaces, so packing is unconditionally
-//! semantics-preserving — only dispatch count changes.
+//! semantics-preserving — only the step count changes.
 
 use aqe_vm::bytecode::{BcFunction, BcInstr, Op};
 
-/// Superinstruction opcodes. `Plain` delegates to the shared VM dispatch.
+/// Superinstruction opcodes. `Plain` is one bytecode instruction, lowered
+/// on its own.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SOp {
     Plain,
@@ -63,7 +64,7 @@ fn is_cmp_writing_flag(op: Op) -> bool {
     (Op::CmpEqI8 as u16..=Op::CmpImmUgeI64 as u16).contains(&o)
 }
 
-/// Pack a lowered function into threaded steps.
+/// Pack a translated function into steps.
 pub fn pack(bc: &BcFunction) -> (Vec<Step>, PackStats) {
     let n = bc.code.len();
     // Instructions that are branch targets cannot be fused into a

@@ -8,8 +8,8 @@
 //! writable and executable at the same time. `Drop` unmaps.
 //!
 //! Everything here is `cfg`-gated to x86-64 Linux alongside the emitter;
-//! other targets never reach this module (the engine aliases
-//! `ExecMode::Native` to `Optimized` there).
+//! other targets never reach this module (the engine aliases every
+//! compiled mode to bytecode there).
 
 use std::arch::asm;
 

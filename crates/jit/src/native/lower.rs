@@ -1,12 +1,12 @@
-//! Lowering from packed threaded-code [`Step`]s to x86-64 machine code.
+//! Lowering from packed [`Step`]s to x86-64 machine code.
 //!
-//! PR 4's version of this file was a pure *template JIT*: every VM
-//! register-file slot lived in memory at `[r12 + slot]` and each step
-//! loaded its operands, computed, and stored the result back. This
-//! version layers a [`super::regalloc`] pass on top: slots whose every
-//! access is 64 bits wide may be promoted into machine GPRs for the whole
-//! function, and all slot traffic below goes through accessors that pick
-//! the register or the frame per slot. Branches fall through to the next
+//! At O0 ([`OptLevel::Unoptimized`]) this is a pure *template JIT*: every
+//! VM register-file slot lives in memory at `[r12 + slot]` and each step
+//! loads its operands, computes, and stores the result back. At O2
+//! ([`OptLevel::Optimized`]) a [`super::regalloc`] pass runs first: slots
+//! whose every access is 64 bits wide may be promoted into machine GPRs
+//! for the whole function. All slot traffic below goes through accessors
+//! that pick the register or the frame per slot. Branches fall through to the next
 //! step when the target is the textual successor instead of always
 //! emitting a `jmp`. Semantics remain bit-identical to
 //! `aqe_vm::interp::exec_one` (wrapping arithmetic at width, Rust float
@@ -47,7 +47,7 @@
 
 use super::asm::{Alu, Asm, Cc, Label, Reg, Shift, Sse, Xmm};
 use super::regalloc::{self, Assignment, CALLEE_SAVED_POOL, CALLER_SAVED_POOL};
-use crate::compile::CompiledFunction;
+use crate::compile::{CompiledFunction, OptLevel};
 use crate::emit::SOp;
 use aqe_ir::ExternDecl;
 use aqe_vm::bytecode::{BcInstr, Op, TRAP_DIV_ZERO, TRAP_OVERFLOW, TRAP_USER_BASE};
@@ -112,14 +112,15 @@ struct Lowerer {
     ra: Assignment,
 }
 
-/// Lower a compiled (threaded-code) function to machine code. `externs`
-/// gives `CallRt` argument counts so the allocator can pin arg areas.
+/// Lower a compiled step stream to machine code, allocating registers
+/// only at [`OptLevel::Optimized`]. `externs` gives `CallRt` argument
+/// counts so the allocator can pin arg areas.
 pub(super) fn lower(
     cf: &CompiledFunction,
     externs: &[ExternDecl],
     helpers: Helpers,
 ) -> Result<Vec<u8>, String> {
-    let ra = if super::regalloc_enabled() {
+    let ra = if cf.level == OptLevel::Optimized {
         regalloc::allocate(&cf.steps, externs, &CALLEE_SAVED_POOL, &CALLER_SAVED_POOL)
     } else {
         Assignment::none()
@@ -373,7 +374,7 @@ impl Lowerer {
         }
     }
 
-    /// `[p + d] += v` (i64), with the same temp writes as the threaded
+    /// `[p + d] += v` (i64), with the same temp writes as the
     /// superinstruction: loaded value to `i.a`, sum to the slot in `lit2`.
     fn accum_i64(&mut self, st: &crate::emit::Step, checked: bool) -> Result<(), String> {
         let i = &st.i;

@@ -1,22 +1,27 @@
-//! The native x86-64 machine-code backend (`ExecMode::Native`, rank 4).
+//! The native x86-64 machine-code backend, at the paper's two levels.
 //!
-//! Where the two threaded-code levels of this crate still *dispatch* over
-//! pre-decoded steps, this backend removes the interpreter entirely: a
-//! worker function is compiled through the full `Optimized` pipeline
-//! (passes, slot coalescing, superinstruction packing) and the resulting
-//! step stream is then lowered to real x86-64 instructions (the private
-//! `lower` module), mapped into executable pages (`execmem`, raw
-//! mmap/mprotect), and called through a `extern "C"` entry point. Runtime
-//! calls (hash tables, output writers, string ops) go back into the shared
-//! [`Registry`] through a Rust-compiled trampoline.
+//! A worker function is compiled to a packed step stream ([`compile`])
+//! and then lowered to real x86-64 instructions (the private `lower`
+//! module), mapped into executable pages (`execmem`, raw mmap/mprotect),
+//! and called through a `extern "C"` entry point. Runtime calls (hash
+//! tables, output writers, string ops) go back into the shared
+//! [`Registry`] through a Rust-compiled trampoline. The level picks both
+//! halves:
+//!
+//! * **O0** ([`OptLevel::Unoptimized`], `ExecMode::Unoptimized`, rank 2):
+//!   the unoptimized step stream, every slot kept in the frame — the
+//!   stand-in for LLVM's fast instruction selection;
+//! * **O2** ([`OptLevel::Optimized`], `ExecMode::Native`, rank 4): the
+//!   optimized step stream (passes, slot coalescing) with linear-scan
+//!   register allocation.
 //!
 //! # Portability
 //! The emitter is `cfg(all(target_arch = "x86_64", target_os = "linux"))`.
-//! On any other target [`compile_native`] returns
-//! [`NativeError::Unavailable`] and the engine aliases `ExecMode::Native`
-//! to the `Optimized` threaded-code backend — every mode keeps working,
-//! only the top speed differs. Setting `AQE_NATIVE=0` forces the same
-//! fallback on x86-64 Linux (the CI runs the whole suite both ways).
+//! On any other target [`compile_native_at`] returns
+//! [`NativeError::Unavailable`] and the engine aliases every compiled
+//! mode to bytecode — every mode keeps working, only the speed differs.
+//! Setting `AQE_NATIVE=0` forces the same fallback on x86-64 Linux (the CI
+//! runs the whole suite both ways).
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod asm;
@@ -44,20 +49,12 @@ pub fn enabled() -> bool {
     HAVE_EMITTER && std::env::var("AQE_NATIVE").map_or(true, |v| v != "0")
 }
 
-/// Whether lowering runs the linear-scan register allocator. Defaults on;
-/// `AQE_NATIVE_REGALLOC=0` falls back to the PR 4 template behaviour
-/// (every slot in the frame) — the ablation knob used by the benchmarks
-/// and the differential suite.
-pub fn regalloc_enabled() -> bool {
-    std::env::var("AQE_NATIVE_REGALLOC").map_or(true, |v| v != "0")
-}
-
 /// Why a native compilation did not produce machine code.
 #[derive(Clone, Debug, PartialEq)]
 pub enum NativeError {
-    /// No emitter on this target, or `AQE_NATIVE=0`: alias to `Optimized`.
+    /// No emitter on this target, or `AQE_NATIVE=0`: alias to bytecode.
     Unavailable(&'static str),
-    /// The underlying threaded-code compilation failed.
+    /// The step-stream compilation failed.
     Compile(String),
     /// Lowering or mapping rejected the function.
     Lower(String),
@@ -78,23 +75,24 @@ impl std::error::Error for NativeError {}
 /// Everything measured about one native compilation.
 #[derive(Clone, Debug, Default)]
 pub struct NativeStats {
-    /// Total wall time including the underlying optimized compile.
+    /// Total wall time: step-stream compile, lowering, and mapping.
     pub compile_time: Duration,
     /// Emitted machine-code bytes (before page rounding).
     pub code_bytes: usize,
     /// Steps lowered.
     pub steps: usize,
-    /// Stats of the optimized threaded-code compile this was lowered from.
-    pub threaded: CompileStats,
+    /// Stats of the step-stream compile this was lowered from.
+    pub front: CompileStats,
 }
 
 /// A function compiled to executable x86-64 machine code.
 ///
-/// Implements [`PipelineBackend`] with `kind() == ExecMode::Native`
-/// (rank 4): installable into the engine's hot-swap handles above every
-/// other backend.
+/// Implements [`PipelineBackend`]: `kind()` is `ExecMode::Unoptimized`
+/// (rank 2) for O0 code and `ExecMode::Native` (rank 4) for O2 code, so
+/// the engine's hot-swap handles upgrade O0 to O2 and never back.
 pub struct NativeFunction {
     pub name: String,
+    pub level: OptLevel,
     pub frame_size: u32,
     pub param_slots: Vec<u16>,
     pub has_ret: bool,
@@ -167,10 +165,20 @@ mod imp {
     }
 }
 
-/// Compile `f` to native machine code (via the full optimized threaded
-/// pipeline, then lowering). Fails with [`NativeError::Unavailable`] when
-/// the emitter is not usable — callers fall back to `Optimized`.
+/// Compile `f` to O2 native machine code: [`compile_native_at`] at
+/// [`OptLevel::Optimized`].
 pub fn compile_native(f: &Function, externs: &[ExternDecl]) -> Result<NativeFunction, NativeError> {
+    compile_native_at(f, externs, OptLevel::Optimized)
+}
+
+/// Compile `f` to native machine code at `level` (step stream, then
+/// lowering). Fails with [`NativeError::Unavailable`] when the emitter is
+/// not usable — callers fall back to bytecode.
+pub fn compile_native_at(
+    f: &Function,
+    externs: &[ExternDecl],
+    level: OptLevel,
+) -> Result<NativeFunction, NativeError> {
     if !enabled() {
         return Err(NativeError::Unavailable(if HAVE_EMITTER {
             "AQE_NATIVE=0"
@@ -179,22 +187,23 @@ pub fn compile_native(f: &Function, externs: &[ExternDecl]) -> Result<NativeFunc
         }));
     }
     aqe_fault::failpoint("native_compile").map_err(NativeError::Compile)?;
-    compile_native_impl(f, externs)
+    compile_native_impl(f, externs, level)
 }
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 fn compile_native_impl(
     f: &Function,
     externs: &[ExternDecl],
+    level: OptLevel,
 ) -> Result<NativeFunction, NativeError> {
     let start = std::time::Instant::now();
-    let cf = compile(f, externs, OptLevel::Optimized)
-        .map_err(|e| NativeError::Compile(e.to_string()))?;
+    let cf = compile(f, externs, level).map_err(|e| NativeError::Compile(e.to_string()))?;
     let code = lower::lower(&cf, externs, imp::helpers()).map_err(NativeError::Lower)?;
     let code_bytes = code.len();
     let mem = execmem::ExecMem::map(&code).map_err(NativeError::Lower)?;
     Ok(NativeFunction {
         name: cf.name.clone(),
+        level,
         frame_size: cf.frame_size,
         param_slots: cf.param_slots.clone(),
         has_ret: cf.has_ret,
@@ -202,7 +211,7 @@ fn compile_native_impl(
             compile_time: start.elapsed(),
             code_bytes,
             steps: cf.steps.len(),
-            threaded: cf.stats,
+            front: cf.stats,
         },
         code: mem,
     })
@@ -212,11 +221,12 @@ fn compile_native_impl(
 fn compile_native_impl(
     _f: &Function,
     _externs: &[ExternDecl],
+    _level: OptLevel,
 ) -> Result<NativeFunction, NativeError> {
     Err(NativeError::Unavailable("no x86-64 Linux emitter on this target"))
 }
 
-/// Lower `f` to its raw machine-code byte stream with *pinned* helper
+/// Lower `f` to its raw O2 machine-code byte stream with *pinned* helper
 /// addresses, without mapping or executing anything. Helper call targets are
 /// normally absolute process addresses, which would make the bytes differ
 /// between runs; pinning them makes the stream a stable function of the
@@ -312,7 +322,10 @@ impl PipelineBackend for NativeFunction {
     }
 
     fn kind(&self) -> ExecMode {
-        ExecMode::Native
+        match self.level {
+            OptLevel::Unoptimized => ExecMode::Unoptimized,
+            OptLevel::Optimized => ExecMode::Native,
+        }
     }
 }
 
@@ -380,6 +393,21 @@ mod tests {
         assert_eq!(nf.kind(), ExecMode::Native);
         assert_eq!(nf.kind().rank(), 4);
         assert!(nf.stats.code_bytes > 0);
+    }
+
+    #[test]
+    fn unoptimized_runs_correctly() {
+        require_native!();
+        let f = sum_fn();
+        let nf = compile_native_at(&f, &[], OptLevel::Unoptimized).unwrap();
+        assert_eq!(nf.kind(), ExecMode::Unoptimized);
+        assert_eq!(nf.kind().rank(), 2);
+        let rt = Registry::new();
+        let mut frame = Frame::new();
+        for n in [0u64, 1, 10, 1000] {
+            let got = execute_native(&nf, &[n], &rt, &mut frame).unwrap();
+            assert_eq!(got, Some((0..n).sum::<u64>()));
+        }
     }
 
     #[test]

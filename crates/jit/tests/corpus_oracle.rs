@@ -23,7 +23,8 @@
 use aqe_ir::hash::fnv1a;
 use aqe_ir::print::print_function;
 use aqe_ir::testgen::{gen_module, is_pure_seed};
-use aqe_jit::{compile, optimize, OptLevel};
+use aqe_jit::{compile, compile_native_at, optimize, OptLevel};
+use aqe_vm::backend::PipelineBackend;
 
 const SEEDS: u64 = 48;
 
@@ -114,14 +115,15 @@ fn pipeline_is_bit_identical_to_pre_refactor_oracle() {
     assert_eq!(got.lines().count(), want.lines().count(), "corpus size changed");
 }
 
-// Behavioral layer: on arbitrary pure seeds the optimizer and both compile
-// levels must agree with the naive IR interpreter — beyond the pinned
-// corpus, for whatever seed the deterministic runner picks this session.
+// Behavioral layer: on arbitrary pure seeds the optimizer and both native
+// levels (O0 and O2) must agree with the naive IR interpreter — beyond the
+// pinned corpus, for whatever seed the deterministic runner picks this
+// session. Skipped where the emitter is not live.
 proptest::proptest! {
     #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
     #[test]
     fn compiled_levels_agree_with_interpreter(seed in 0u64..1_000_000, x in -6i64..6, y in -6i64..6) {
-        if is_pure_seed(seed) {
+        if is_pure_seed(seed) && aqe_jit::native::enabled() {
             let m = gen_module(seed);
             let f = &m.functions[0];
             let args = [x as u64, y as u64];
@@ -130,8 +132,8 @@ proptest::proptest! {
             let rt = aqe_vm::rt::Registry::new();
             let mut frame = aqe_vm::interp::Frame::new();
             for level in [OptLevel::Unoptimized, OptLevel::Optimized] {
-                let cf = compile(f, &m.externs, level).unwrap();
-                let got = aqe_jit::execute_compiled(&cf, &args, &rt, &mut frame);
+                let nf = compile_native_at(f, &m.externs, level).unwrap();
+                let got = nf.call(&args, &rt, &mut frame);
                 proptest::prop_assert_eq!(&got, &expect, "level {:?} diverged", level);
             }
         }

@@ -1,13 +1,13 @@
-//! Differential tests: compiled code (both threaded levels *and* the
-//! native machine-code tier) must behave identically to the naive IR
-//! interpreter — the §III-B requirement that lets the adaptive engine
-//! hot-swap execution modes mid-pipeline. Native coverage runs only where
-//! the emitter exists (x86-64 Linux, `AQE_NATIVE` not forcing fallback);
-//! elsewhere the same properties hold vacuously through the alias.
+//! Differential tests: compiled code (O0 and O2 machine code) must behave
+//! identically to the naive IR interpreter — the §III-B requirement that
+//! lets the adaptive engine hot-swap execution modes mid-pipeline. Native
+//! coverage runs only where the emitter exists (x86-64 Linux, `AQE_NATIVE`
+//! not forcing fallback); elsewhere the same properties hold vacuously
+//! through the bytecode alias. The step-stream properties run everywhere.
 
 use aqe_ir::{BinOp, CmpPred, Constant, Function, FunctionBuilder, Operand, OvfOp, Type, ValueId};
 use aqe_jit::compile::{compile, OptLevel};
-use aqe_jit::exec::execute_compiled;
+use aqe_jit::native::{compile_native_at, enabled};
 use aqe_jit::passes::optimize;
 use aqe_vm::backend::{ExecMode, PipelineBackend};
 use aqe_vm::interp::Frame;
@@ -180,22 +180,19 @@ proptest! {
         let expect = naive::interpret_pure(&f, &args);
         let rt = Registry::new();
         let mut frame = Frame::new();
-        for level in [OptLevel::Unoptimized, OptLevel::Optimized] {
-            let cf = compile(&f, &[], level).expect("compilation");
-            let got = execute_compiled(&cf, &args, &rt, &mut frame);
-            prop_assert_eq!(expect, got, "level {:?}", level);
-        }
-        if aqe_jit::native::enabled() {
-            let nf = aqe_jit::native::compile_native(&f, &[]).expect("native compilation");
-            let got = nf.call(&args, &rt, &mut frame);
-            prop_assert_eq!(expect, got, "native");
+        if enabled() {
+            for level in [OptLevel::Unoptimized, OptLevel::Optimized] {
+                let nf = compile_native_at(&f, &[], level).expect("native compilation");
+                let got = nf.call(&args, &rt, &mut frame);
+                prop_assert_eq!(expect, got, "level {:?}", level);
+            }
         }
     }
 
     /// Compiled functions are pipeline backends: dispatched uniformly
     /// through `Arc<dyn PipelineBackend>` (the handle the engine swaps
-    /// mid-query), both levels still agree with the naive oracle and
-    /// advertise the right kind.
+    /// mid-query), both native levels still agree with the naive oracle
+    /// and advertise the right kind.
     #[test]
     fn compiled_backends_agree_through_trait_dispatch(
         stmts in prop::collection::vec(stmt_strategy(), 1..16),
@@ -207,21 +204,19 @@ proptest! {
         let expect = naive::interpret_pure(&f, &args);
         let rt = Registry::new();
         let mut frame = Frame::new();
-        let mut backends: Vec<(Arc<dyn PipelineBackend>, ExecMode)> = vec![
-            (
-                Arc::new(compile(&f, &[], OptLevel::Unoptimized).expect("compilation")),
-                ExecMode::Unoptimized,
+        let mut backends: Vec<(Arc<dyn PipelineBackend>, ExecMode)> = vec![(
+            Arc::new(
+                aqe_vm::translate::translate(&f, &[], Default::default()).expect("translation"),
             ),
-            (
-                Arc::new(compile(&f, &[], OptLevel::Optimized).expect("compilation")),
-                ExecMode::Optimized,
-            ),
-        ];
-        if aqe_jit::native::enabled() {
-            backends.push((
-                Arc::new(aqe_jit::native::compile_native(&f, &[]).expect("native compilation")),
-                ExecMode::Native,
-            ));
+            ExecMode::Bytecode,
+        )];
+        if enabled() {
+            for (level, kind) in
+                [(OptLevel::Unoptimized, ExecMode::Unoptimized), (OptLevel::Optimized, ExecMode::Native)]
+            {
+                let nf = compile_native_at(&f, &[], level).expect("native compilation");
+                backends.push((Arc::new(nf), kind));
+            }
         }
         for (backend, kind) in backends {
             prop_assert_eq!(backend.kind(), kind);
@@ -276,9 +271,9 @@ fn range_accum_fn() -> Function {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The §III-B hot-swap contract at the top of the ladder: running the
-    /// first part of a range on `Optimized` threaded code and the rest on
-    /// `Native` machine code must produce exactly the state and trap
+    /// The §III-B hot-swap contract along the ladder: running the first
+    /// part of a range on one backend and the rest on the next rung up
+    /// (bytecode → O0, O0 → O2) must produce exactly the state and trap
     /// behaviour of any single backend — including seeds chosen to
     /// overflow mid-range, where *which half traps* must also agree.
     #[test]
@@ -311,21 +306,15 @@ proptest! {
         };
         let reference = run_pair(&bc, &bc);
 
-        let opt = compile(&f, &[], OptLevel::Optimized).expect("compile optimized");
-        if aqe_jit::native::enabled() {
-            let nat = aqe_jit::native::compile_native(&f, &[]).expect("compile native");
-            let switched = run_pair(&opt, &nat);
-            prop_assert_eq!(&switched.0, &reference.0, "first-half status");
-            prop_assert_eq!(&switched.1, &reference.1, "second-half status");
-            prop_assert_eq!(switched.2, reference.2, "accumulated state");
-        } else {
-            // Fallback platforms: the alias pair (optimized → optimized)
-            // must satisfy the same contract.
-            let opt2 = compile(&f, &[], OptLevel::Optimized).expect("compile optimized");
-            let switched = run_pair(&opt, &opt2);
-            prop_assert_eq!(&switched.0, &reference.0, "first-half status");
-            prop_assert_eq!(&switched.1, &reference.1, "second-half status");
-            prop_assert_eq!(switched.2, reference.2, "accumulated state");
+        if enabled() {
+            let o0 = compile_native_at(&f, &[], OptLevel::Unoptimized).expect("compile O0");
+            let o2 = compile_native_at(&f, &[], OptLevel::Optimized).expect("compile O2");
+            for (first, second) in [(&bc as &dyn PipelineBackend, &o0), (&o0, &o2)] {
+                let switched = run_pair(first, second);
+                prop_assert_eq!(&switched.0, &reference.0, "first-half status");
+                prop_assert_eq!(&switched.1, &reference.1, "second-half status");
+                prop_assert_eq!(switched.2, reference.2, "accumulated state");
+            }
         }
     }
 }
@@ -334,11 +323,15 @@ proptest! {
 /// more simultaneously loop-crossing values than the native tier has
 /// allocatable registers (4 callee-saved + 4 caller-saved), so some hulls
 /// are promoted, some evicted, and some stay in memory — and the final
-/// XOR fold keeps every value live to the end. The register-allocated
-/// native code must agree with the naive interpreter bit-for-bit,
-/// boundary inputs included.
+/// XOR fold keeps every value live to the end. The register-allocated O2
+/// code, and the O0 code that keeps every slot in the frame, must agree
+/// with the naive interpreter bit-for-bit, boundary inputs included.
 #[test]
 fn native_regalloc_under_pressure_matches_naive() {
+    if !enabled() {
+        eprintln!("native emitter disabled; skipping");
+        return;
+    }
     use Stmt::*;
     // 12 long-lived values defined before three nested-pressure loops.
     let mut stmts: Vec<Stmt> = (0..12i64)
@@ -362,12 +355,8 @@ fn native_regalloc_under_pressure_matches_naive() {
         let args = [x as u64, y as u64];
         let expect = naive::interpret_pure(&f, &args);
         for level in [OptLevel::Unoptimized, OptLevel::Optimized] {
-            let cf = compile(&f, &[], level).expect("compile");
-            assert_eq!(expect, execute_compiled(&cf, &args, &rt, &mut frame), "{level:?} {x} {y}");
-        }
-        if aqe_jit::native::enabled() {
-            let nf = aqe_jit::native::compile_native(&f, &[]).expect("native compile");
-            assert_eq!(expect, nf.call(&args, &rt, &mut frame), "native {x} {y}");
+            let nf = compile_native_at(&f, &[], level).expect("native compile");
+            assert_eq!(expect, nf.call(&args, &rt, &mut frame), "{level:?} {x} {y}");
         }
     }
 }

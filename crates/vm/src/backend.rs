@@ -1,13 +1,12 @@
 //! The unified execution-backend seam (paper Fig. 5).
 //!
 //! Every way of running a worker function — direct IR walking, the
-//! bytecode VM, and the threaded-code levels of `aqe-jit` — implements
-//! [`PipelineBackend`]. The engine's morsel loop calls through a single
-//! `Arc<dyn PipelineBackend>` handle and never branches on the mode; the
-//! adaptive controller switches a pipeline mid-flight by atomically
-//! publishing a different backend into that handle. The native x86-64
-//! machine-code tier (`aqe-jit`'s `native` module) plugged in exactly
-//! this way; future backends (remote execution) would too.
+//! bytecode VM, and the two native machine-code levels of `aqe-jit` —
+//! implements [`PipelineBackend`]. The engine's morsel loop calls through
+//! a single `Arc<dyn PipelineBackend>` handle and never branches on the
+//! mode; the adaptive controller switches a pipeline mid-flight by
+//! atomically publishing a different backend into that handle. Future
+//! backends (remote execution) would plug in the same way.
 //!
 //! The trait lives here, at the bottom of the crate stack, because its
 //! vocabulary types ([`Frame`], [`Registry`], [`ExecError`]) do and because
@@ -17,23 +16,27 @@ use crate::interp::{ExecError, Frame};
 use crate::rt::Registry;
 
 /// How to execute a query (Fig. 3's modes plus the two interpreter
-/// baselines of Fig. 2). The first five name concrete backends; `Adaptive`
-/// is the engine policy that starts at `Bytecode` and upgrades at runtime.
+/// baselines of Fig. 2). `NaiveIr`, `Bytecode`, `Unoptimized`, `Native`
+/// and `Simd` name concrete backends; `Optimized` is an alias of `Native`,
+/// and `Adaptive` is the engine policy that starts at `Bytecode` and
+/// upgrades at runtime. Without the native emitter (non-x86-64 targets,
+/// `AQE_NATIVE=0`) every compiled mode aliases to `Bytecode`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ExecMode {
     /// Direct IR interpretation (the "LLVM interpreter" stand-in).
     NaiveIr,
     /// Bytecode VM for every morsel.
     Bytecode,
-    /// Compile every pipeline without optimization up front.
+    /// Compile every pipeline up front to O0 machine code: the
+    /// unoptimized step stream, lowered without register allocation.
     Unoptimized,
-    /// Compile every pipeline with optimization up front.
+    /// Alias of `Native`: the paper's "optimized" level is the O2 native
+    /// backend. No backend reports this kind.
     Optimized,
-    /// Real machine code: the x86-64 emitter in `aqe-jit`'s `native`
-    /// module. On targets without the emitter the engine aliases this
-    /// mode to `Optimized` threaded code.
+    /// Compile every pipeline up front to O2 machine code: the optimized
+    /// step stream, lowered with register allocation.
     Native,
-    /// Vectorized scan kernels layered over a compiled scalar worker: a
+    /// Vectorized scan kernels layered over the scalar worker: a
     /// packed-compare filter pre-pass (SSE2/AVX2) produces a selection
     /// bitmask and only the surviving row runs enter the scalar code. On
     /// pipelines without a vectorizable filter — or with `AQE_SIMD=0` —
@@ -45,30 +48,30 @@ pub enum ExecMode {
 
 impl ExecMode {
     /// Total order of backend quality used by the hot-swap handle: a
-    /// backend may only ever be replaced by a higher-ranked one.
-    /// `Adaptive` ranks as its starting backend (bytecode).
+    /// backend may only ever be replaced by a higher-ranked one. Aliases
+    /// rank as the backend they select: `Adaptive` as its starting
+    /// backend (bytecode), `Optimized` as `Native`. Rank 3 is unused.
     pub fn rank(self) -> u8 {
         match self {
             ExecMode::NaiveIr => 0,
             ExecMode::Bytecode | ExecMode::Adaptive => 1,
             ExecMode::Unoptimized => 2,
-            ExecMode::Optimized => 3,
-            ExecMode::Native => 4,
+            ExecMode::Optimized | ExecMode::Native => 4,
             ExecMode::Simd => 5,
         }
     }
 
     /// Compact code used in execution traces (Fig. 14): 0 = bytecode,
-    /// 1 = unoptimized, 2 = optimized, 3 = naive IR, 4 = native machine
-    /// code, 5 = vectorized scan kernel. (255 marks a compilation event
-    /// and never names a backend.)
+    /// 1 = O0 machine code, 3 = naive IR, 4 = O2 machine code,
+    /// 5 = vectorized scan kernel. Aliases map like [`rank`](Self::rank),
+    /// so 2 (the retired optimized threaded code) is never produced.
+    /// (255 marks a compilation event and never names a backend.)
     pub fn trace_kind(self) -> u8 {
         match self {
             ExecMode::Bytecode | ExecMode::Adaptive => 0,
             ExecMode::Unoptimized => 1,
-            ExecMode::Optimized => 2,
             ExecMode::NaiveIr => 3,
-            ExecMode::Native => 4,
+            ExecMode::Optimized | ExecMode::Native => 4,
             ExecMode::Simd => 5,
         }
     }
@@ -107,17 +110,17 @@ mod tests {
     fn ranks_are_ordered_and_adaptive_starts_at_bytecode() {
         assert!(ExecMode::NaiveIr.rank() < ExecMode::Bytecode.rank());
         assert!(ExecMode::Bytecode.rank() < ExecMode::Unoptimized.rank());
-        assert!(ExecMode::Unoptimized.rank() < ExecMode::Optimized.rank());
-        assert!(ExecMode::Optimized.rank() < ExecMode::Native.rank());
+        assert!(ExecMode::Unoptimized.rank() < ExecMode::Native.rank());
         assert!(ExecMode::Native.rank() < ExecMode::Simd.rank());
         assert_eq!(ExecMode::Adaptive.rank(), ExecMode::Bytecode.rank());
+        assert_eq!(ExecMode::Optimized.rank(), ExecMode::Native.rank());
     }
 
     #[test]
     fn trace_kinds_match_fig14_legend() {
         assert_eq!(ExecMode::Bytecode.trace_kind(), 0);
         assert_eq!(ExecMode::Unoptimized.trace_kind(), 1);
-        assert_eq!(ExecMode::Optimized.trace_kind(), 2);
+        assert_eq!(ExecMode::Optimized.trace_kind(), 4);
         assert_eq!(ExecMode::NaiveIr.trace_kind(), 3);
         assert_eq!(ExecMode::Native.trace_kind(), 4);
         assert_eq!(ExecMode::Simd.trace_kind(), 5);

@@ -97,7 +97,7 @@ impl Frame {
     }
 
     /// Pointer to a heap register file of at least `bytes` bytes (public
-    /// for the threaded-code executor in `aqe-jit`).
+    /// for the native backend in `aqe-jit`).
     pub fn heap_ptr_pub(&mut self, bytes: usize) -> *mut u8 {
         self.heap_ptr(bytes)
     }
@@ -148,7 +148,7 @@ pub fn execute(
 
 /// Control-flow outcome of a single instruction.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Ctl {
+enum Ctl {
     /// Fall through to the next instruction.
     Next,
     /// Jump to an instruction index.
@@ -187,15 +187,15 @@ fn run(
 }
 
 /// Execute one instruction against the register file. This is the body of
-/// the paper's Fig. 8 switch; it is shared between the VM loop above and the
-/// threaded-code executor in `aqe-jit` (plain, non-fused steps).
+/// the paper's Fig. 8 switch, and the reference semantics the native
+/// lowering in `aqe-jit` mirrors.
 ///
 /// # Safety
 /// See the module docs: `i` must come from validated translator output and
 /// `regs` must point at a frame of at least the translated frame size.
 #[allow(clippy::too_many_lines)]
 #[inline(always)]
-pub fn exec_one(i: &BcInstr, regs: *mut u8, rt: &Registry) -> Result<Ctl, ExecError> {
+fn exec_one(i: &BcInstr, regs: *mut u8, rt: &Registry) -> Result<Ctl, ExecError> {
     macro_rules! bin {
         ($i:expr, $T:ty, $f:expr) => {{
             let a: $T = rd!(regs, $T, $i.b);

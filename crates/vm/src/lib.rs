@@ -9,7 +9,7 @@
 //! * [`backend`] — the [`backend::PipelineBackend`] trait: the uniform,
 //!   hot-swappable seam through which the engine invokes *any* executable
 //!   representation of a worker function (VM bytecode, direct IR walking,
-//!   or `aqe-jit`'s threaded code), plus the [`backend::ExecMode`]
+//!   or `aqe-jit`'s machine code), plus the [`backend::ExecMode`]
 //!   vocabulary shared by all of them;
 //! * [`bytecode`] — the fixed-length, statically-typed instruction format
 //!   (16 bytes per instruction: opcode + three register byte-offsets + a
@@ -29,17 +29,9 @@
 //! * [`naive`] — a direct IR-walking interpreter standing in for the
 //!   LLVM interpreter of Fig. 2 (no translation step, much slower);
 //! * [`rt`] — the runtime-call ABI shared with the engine and the
-//!   threaded-code backends: every callable helper is registered with its
+//!   native backends: every callable helper is registered with its
 //!   signature up front, so unsupported signatures are a translation-time
 //!   error, not a runtime surprise (§IV-E).
-
-// The interpreter's public single-instruction dispatch (`interp::exec_one`)
-// intentionally takes a raw register-file pointer: validated translator
-// output is the safety boundary (see the module docs of `interp`), exactly
-// like generated machine code in the paper's engine. Marking these `unsafe`
-// would force `unsafe` onto every safe internal caller without adding a
-// checkable contract, so the clippy lint is disabled crate-wide.
-#![allow(clippy::not_unsafe_ptr_arg_deref)]
 
 pub mod backend;
 pub mod bytecode;

@@ -4,10 +4,10 @@
 //!    *switch* backends mid-pipeline (a background compilation appears in
 //!    the trace and compiled morsels follow interpreted ones), and
 //! 2. every one of the six `ExecMode`s — i.e. every backend that can sit
-//!    in a pipeline's `Arc<dyn PipelineBackend>` handle, the native
-//!    machine-code tier included — produces identical `ResultRows` on a
-//!    TPC-H subset (on targets without the emitter, `Native` runs through
-//!    its fallback alias and must still agree), and
+//!    in a pipeline's `Arc<dyn PipelineBackend>` handle, both native
+//!    machine-code levels included — produces identical `ResultRows` on a
+//!    TPC-H subset (on targets without the emitter, the compiled modes run
+//!    through their bytecode alias and must still agree), and
 //! 3. with an irresistible native speedup model, the Fig. 7 controller
 //!    actually climbs to rank 4 mid-query: the trace shows morsels on the
 //!    native backend (kind 4) after interpreted ones.
@@ -32,8 +32,21 @@ fn normalized(rows: &[u64], width: usize, sorted: bool) -> Vec<Vec<u64>> {
     out
 }
 
+/// Skip the test body when no compiled tier can be reached: without the
+/// emitter (`AQE_NATIVE=0`, non-x86-64) every compiled mode aliases to
+/// bytecode, and these scans have no SIMD kernel.
+macro_rules! require_native {
+    () => {
+        if !aqe::jit::native::enabled() {
+            eprintln!("native emitter disabled; skipping");
+            return;
+        }
+    };
+}
+
 #[test]
 fn adaptive_mode_switches_backend_mid_query() {
+    require_native!();
     // A wide synthetic aggregation: expensive enough per tuple that the
     // Fig. 7 extrapolation always decides compilation pays off, and long
     // enough that the background compile lands while morsels remain.
@@ -45,7 +58,7 @@ fn adaptive_mode_switches_backend_mid_query() {
         ExecOptions { mode: ExecMode::Adaptive, threads: 2, trace: true, ..Default::default() };
     // Generous modeled speedup so the decision is deterministic even on a
     // slow CI machine; the *observed* switch below is what the test checks.
-    opts.model.speedup_opt = 6.0;
+    opts.model.speedup_native = 6.0;
     opts.model.speedup_unopt = 3.0;
     let engine = Engine::new(cat.clone());
     let session = engine.session();
@@ -62,8 +75,8 @@ fn adaptive_mode_switches_backend_mid_query() {
     assert!(!compiles.is_empty(), "trace must contain a compilation event");
 
     // The switch must be *observable in executed morsels*: interpreted
-    // (bytecode, kind 0) morsels first, compiled (kind 1 or 2) morsels
-    // after the backend was published into the handle.
+    // (bytecode, kind 0) morsels first, compiled (kind 1 = O0 or 4 = O2)
+    // morsels after the backend was published into the handle.
     let morsel_kinds: std::collections::BTreeSet<u8> =
         report.trace.iter().filter(|e| e.kind != KIND_COMPILE).map(|e| e.kind).collect();
     assert!(
@@ -71,7 +84,7 @@ fn adaptive_mode_switches_backend_mid_query() {
         "query must start on the bytecode backend, kinds seen: {morsel_kinds:?}"
     );
     assert!(
-        morsel_kinds.contains(&1) || morsel_kinds.contains(&2),
+        morsel_kinds.contains(&1) || morsel_kinds.contains(&4),
         "no morsel ran on a compiled backend — no switch happened; \
          kinds seen: {morsel_kinds:?}"
     );
@@ -115,13 +128,14 @@ fn later_pipelines_decide_with_calibrated_cost_model() {
     // compile threads before finalizing, the feedback is guaranteed to
     // land before the next pipeline constructs its controller — so every
     // later pipeline decides with a calibrated (non-default) model.
+    require_native!();
     let cat = tpch_data::generate(0.02);
     let q = synthetic::wide_agg(120);
     let phys = decompose(&cat, &q.root, vec![]);
 
     let mut opts =
         ExecOptions { mode: ExecMode::Adaptive, threads: 2, trace: false, ..Default::default() };
-    opts.model.speedup_opt = 6.0;
+    opts.model.speedup_native = 6.0;
     opts.model.speedup_unopt = 3.0;
     let engine = Engine::new(cat.clone());
     let session = engine.session();
@@ -146,9 +160,9 @@ fn later_pipelines_decide_with_calibrated_cost_model() {
         "the calibrated model must differ from the query's starting constants"
     );
     // The compile-time constants moved toward measurements; the observed
-    // per-instruction cost of this reproduction's threaded-code backend is
+    // per-instruction cost of this reproduction's machine-code backends is
     // strictly positive, so the calibrated constant stays positive too.
-    assert!(last.model.unopt_per_instr_s > 0.0 || last.model.opt_per_instr_s > 0.0);
+    assert!(last.model.unopt_per_instr_s > 0.0 || last.model.native_per_instr_s > 0.0);
 }
 
 #[test]
@@ -226,14 +240,11 @@ fn all_six_modes_agree_on_tpch_subset() {
 
 #[test]
 fn adaptive_controller_reaches_native_rank_four() {
-    if !aqe::jit::native::enabled() {
-        eprintln!("native emitter disabled; skipping the rank-4 switch test");
-        return;
-    }
-    // Make the native rung irresistible relative to the threaded levels:
-    // huge modelled native speedup, modest threaded speedups — over a wide
-    // aggregation there is easily enough remaining work to amortize the
-    // native compile cost, so extrapolation picks rank 4 directly.
+    require_native!();
+    // Make the O2 rung irresistible relative to O0: huge modelled O2
+    // speedup, a modest O0 speedup — over a wide aggregation there is
+    // easily enough remaining work to amortize the O2 compile cost, so
+    // extrapolation picks rank 4 directly.
     let cat = tpch_data::generate(0.02);
     let q = synthetic::wide_agg(120);
     let phys = decompose(&cat, &q.root, vec![]);
@@ -241,7 +252,6 @@ fn adaptive_controller_reaches_native_rank_four() {
     let mut opts =
         ExecOptions { mode: ExecMode::Adaptive, threads: 2, trace: true, ..Default::default() };
     opts.model.speedup_unopt = 1.05;
-    opts.model.speedup_opt = 1.1;
     opts.model.speedup_native = 20.0;
     let engine = Engine::new(cat.clone());
     let session = engine.session();
@@ -277,8 +287,8 @@ fn adaptive_controller_reaches_native_rank_four() {
 #[test]
 fn native_mode_runs_or_aliases_cleanly() {
     // `ExecMode::Native` must work on every target: real machine code
-    // where the emitter exists, the optimized threaded alias elsewhere
-    // (and under AQE_NATIVE=0). Either way the rows match bytecode.
+    // where the emitter exists, the bytecode alias elsewhere (and under
+    // AQE_NATIVE=0). Either way the rows match bytecode.
     let cat = tpch_data::generate(0.01);
     let q = synthetic::wide_agg(40);
     let phys = decompose(&cat, &q.root, vec![]);
@@ -298,7 +308,7 @@ fn native_mode_runs_or_aliases_cleanly() {
     if aqe::jit::native::enabled() {
         assert_eq!(kinds, [4u8].into(), "every morsel must run on machine code: {kinds:?}");
     } else {
-        assert_eq!(kinds, [2u8].into(), "fallback must alias to optimized: {kinds:?}");
+        assert_eq!(kinds, [0u8].into(), "fallback must alias to bytecode: {kinds:?}");
     }
     let bc_opts = ExecOptions {
         mode: ExecMode::Bytecode,

@@ -72,7 +72,8 @@ fn tpcds_corpus_agrees() {
         let engine = Engine::new(cat.clone());
         let session = engine.session();
         let prepared = session.prepare_plan(phys.clone());
-        for mode in [ExecMode::Bytecode, ExecMode::Optimized, ExecMode::Native, ExecMode::Adaptive]
+        for mode in
+            [ExecMode::Bytecode, ExecMode::Unoptimized, ExecMode::Native, ExecMode::Adaptive]
         {
             let opts = ExecOptions { mode, threads: 2, cache_results: false, ..Default::default() };
             let (res, _) = session.execute_with(&prepared, &opts).unwrap();
