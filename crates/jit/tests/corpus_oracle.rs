@@ -117,8 +117,8 @@ fn pipeline_is_bit_identical_to_pre_refactor_oracle() {
 
 // Behavioral layer: on arbitrary pure seeds the optimizer and both native
 // levels (O0 and O2) must agree with the naive IR interpreter — beyond the
-// pinned corpus, for whatever seed the deterministic runner picks this
-// session. Skipped where the emitter is not live.
+// pinned corpus, for whatever seeds the deterministic runner picks.
+// Skipped where the emitter is not live.
 proptest::proptest! {
     #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
     #[test]
