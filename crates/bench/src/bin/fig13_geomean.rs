@@ -10,7 +10,11 @@ fn main() {
     let sfs = env_sf_list(&[0.01, 0.1, 0.5]);
     let threads = threads_from_env(4);
     println!("# Fig. 13 — geometric mean over TPC-H queries ({threads} threads)");
-    println!("{:<8} {:>12} {:>12} {:>12} {:>12}", "SF", "bytecode", "unopt", "opt", "adaptive");
+    print!("{:<8}", "SF");
+    for (_, label) in MODES {
+        print!(" {label:>12}");
+    }
+    println!();
     for &sf in &sfs {
         eprintln!("generating SF {sf}…");
         let cat = aqe_storage::tpch::generate(sf);
@@ -25,10 +29,11 @@ fn main() {
             }
             per_mode.push(geomean(&samples));
         }
-        println!(
-            "{:<8} {:>12.2} {:>12.2} {:>12.2} {:>12.2}",
-            sf, per_mode[0], per_mode[1], per_mode[2], per_mode[3]
-        );
+        print!("{sf:<8}");
+        for g in per_mode {
+            print!(" {g:>12.2}");
+        }
+        println!();
     }
     println!("# (times in ms; includes codegen + translation + compilation + execution)");
 }

@@ -216,12 +216,12 @@ pub fn compile_level(f: &aqe_ir::Function, externs: &[aqe_ir::ExternDecl], level
 }
 
 /// Mode labels used in the standard reports (the four modes of Fig. 3 —
-/// `optimized` is the alias of the O2 `native` tier — plus the vectorized
-/// scan-kernel cap).
-pub const MODES: [(ExecMode, &str); 6] = [
+/// `unoptimized` is O0 and `native` O2 machine code — plus the vectorized
+/// scan-kernel cap). `ExecMode::Optimized` is left out: it is an alias of
+/// `Native` and would time the same backend twice.
+pub const MODES: [(ExecMode, &str); 5] = [
     (ExecMode::Bytecode, "bytecode"),
     (ExecMode::Unoptimized, "unoptimized"),
-    (ExecMode::Optimized, "optimized"),
     (ExecMode::Native, "native"),
     (ExecMode::Simd, "simd"),
     (ExecMode::Adaptive, "adaptive"),
@@ -229,11 +229,10 @@ pub const MODES: [(ExecMode, &str); 6] = [
 
 /// Every backend the engine can publish into a pipeline's hot-swap handle,
 /// including the slow naive-IR baseline (Fig. 2's full latency spectrum).
-pub const ALL_MODES: [(ExecMode, &str); 7] = [
+pub const ALL_MODES: [(ExecMode, &str); 6] = [
     (ExecMode::NaiveIr, "naive-ir"),
     (ExecMode::Bytecode, "bytecode"),
     (ExecMode::Unoptimized, "unoptimized"),
-    (ExecMode::Optimized, "optimized"),
     (ExecMode::Native, "native"),
     (ExecMode::Simd, "simd"),
     (ExecMode::Adaptive, "adaptive"),

@@ -14,8 +14,10 @@
 //! state, the handle indirection, and the pipeline-end sinks.
 
 use crate::cancel::CancelToken;
-use crate::plan::{FieldTy, PhysicalPlan, Sink, Source};
-use crate::runtime::{merge_agg_tables, sort_rows, JoinHt, WorkerRt};
+use crate::plan::{AggFunc, FieldTy, PhysicalPlan, Sink, Source};
+use crate::runtime::{
+    merge_agg_partition, sort_rows, AggRun, AggTable, JoinBuild, JoinHt, WorkerRt,
+};
 use crate::sched::{
     AdaptiveController, ControllerCtx, CostCalibrator, MorselDispenser, PipelineProgress,
     PipelineQuarantine,
@@ -26,8 +28,8 @@ use aqe_storage::CatalogSnapshot;
 use aqe_vm::interp::{ExecError, Frame};
 use aqe_vm::rt::Registry;
 use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -651,6 +653,13 @@ impl PipelineRun<'_> {
         // value itself is stored under the mutex on the cold path.
         let failed = AtomicBool::new(false);
         let error: Mutex<Option<ExecError>> = Mutex::new(None);
+        let fail = |e: ExecError| {
+            let mut slot = error.lock();
+            if slot.is_none() {
+                *slot = Some(e);
+            }
+            failed.store(true, Ordering::Relaxed);
+        };
 
         // Worker runtimes, one per thread (created up front so finalize can
         // collect them after the scope).
@@ -666,9 +675,20 @@ impl PipelineRun<'_> {
             })
             .collect();
         let mut thread_traces: Vec<Vec<TraceEvent>> = vec![Vec::new(); threads];
+        let phase2 = SinkPhase2::new(self.plan, self.pid, threads);
+        let barrier = PhaseBarrier::new(threads);
+        // When the last worker left its morsel loop (ns since exec_start);
+        // read once the scope has joined every worker.
+        let loop_end = AtomicU64::new(0);
 
-        // ---- the morsel loop ----------------------------------------------
+        // ---- phase 1: the morsel loop; phase 2: the sink's parallel part --
+        // Worker 0 runs on the calling thread and the others on scoped
+        // threads: one spawn fewer per pipeline, and what worker 0
+        // allocates for the query (a join's bucket array, the merged
+        // groups) stays in the calling thread's allocator arena instead of
+        // spreading over the arenas of short-lived threads.
         std::thread::scope(|scope| {
+            let mut first = None;
             for (tid, ((wrt, ttrace), frame)) in worker_rts
                 .iter_mut()
                 .zip(thread_traces.iter_mut())
@@ -679,14 +699,17 @@ impl PipelineRun<'_> {
                 let progress = &progress;
                 let controller = &controller;
                 let failed = &failed;
-                let error = &error;
+                let fail = &fail;
+                let phase2 = &phase2;
+                let barrier = &barrier;
+                let loop_end = &loop_end;
                 let handle = self.handle;
                 let registry = self.registry;
                 let exec_start = self.exec_start;
                 let pid = self.pid;
                 let cancel = &opts.cancel;
-                scope.spawn(move || {
-                    // Panic isolation at the thread boundary: a worker
+                let work = move || {
+                    // Panic isolation at the worker boundary: a worker
                     // that panics (a backend bug, an injected
                     // `worker=panic` fault) must fail the *query* with a
                     // typed error, not unwind through the scope join and
@@ -715,24 +738,14 @@ impl PipelineRun<'_> {
                             // mid-morsel, so sinks only ever see whole
                             // morsels.
                             if let Err(e) = cancel.check() {
-                                let mut slot = error.lock();
-                                if slot.is_none() {
-                                    *slot = Some(e);
-                                }
-                                failed.store(true, Ordering::Relaxed);
-                                return;
+                                return fail(e);
                             }
                             // Injectable fault site, once per claim round
                             // (`AQE_FAULT="worker=..."`). An `err` action
                             // surfaces as a typed internal error; a `panic`
                             // action exercises the catch_unwind boundary.
                             if let Err(m) = aqe_fault::failpoint("worker") {
-                                let mut slot = error.lock();
-                                if slot.is_none() {
-                                    *slot = Some(ExecError::Internal { site: m });
-                                }
-                                failed.store(true, Ordering::Relaxed);
-                                return;
+                                return fail(ExecError::Internal { site: m });
                             }
                             // Front of our own partition, or stolen loot once
                             // it runs dry; `None` means the pipeline is done.
@@ -745,12 +758,7 @@ impl PipelineRun<'_> {
                                 backend_rank = rank;
                             }
                             if let Err(e) = backend.call(&args, registry, frame) {
-                                let mut slot = error.lock();
-                                if slot.is_none() {
-                                    *slot = Some(e);
-                                }
-                                failed.store(true, Ordering::Relaxed);
-                                return;
+                                return fail(e);
                             }
                             progress.record(tid, m.tuples());
                             if opts.trace {
@@ -768,17 +776,61 @@ impl PipelineRun<'_> {
                         }
                     }));
                     if caught.is_err() {
-                        let mut slot = error.lock();
-                        if slot.is_none() {
-                            *slot = Some(ExecError::Internal {
-                                site: format!("morsel worker {tid} (pipeline {pid})"),
-                            });
-                        }
-                        failed.store(true, Ordering::Relaxed);
+                        fail(ExecError::Internal {
+                            site: format!("morsel worker {tid} (pipeline {pid})"),
+                        });
                     }
-                });
+                    loop_end.fetch_max(exec_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    if !phase2.parallel() {
+                        return;
+                    }
+                    // Every worker reaches the barrier exactly once, however
+                    // its morsel loop ended: a failed, panicked or cancelled
+                    // worker only skips its hand-over, and the others see
+                    // `failed` once the barrier opens and skip phase 2.
+                    let phase2_site = || ExecError::Internal {
+                        site: format!("sink finalize worker {tid} (pipeline {pid})"),
+                    };
+                    let guarded = |step: &mut dyn FnMut() -> Result<(), ExecError>| {
+                        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(step)) {
+                            Ok(Ok(())) => {}
+                            Ok(Err(e)) => fail(e),
+                            Err(_) => fail(phase2_site()),
+                        }
+                    };
+                    if !failed.load(Ordering::Relaxed) {
+                        guarded(&mut || {
+                            phase2.hand_over(tid, wrt);
+                            Ok(())
+                        });
+                    }
+                    barrier.wait();
+                    if tid == 0 {
+                        // Always runs, so no worker waits on it forever.
+                        guarded(&mut || phase2.lead(failed.load(Ordering::Relaxed)));
+                    }
+                    if failed.load(Ordering::Relaxed) {
+                        return;
+                    }
+                    guarded(&mut || {
+                        cancel.check()?;
+                        aqe_fault::failpoint("sink_finalize")
+                            .map_err(|m| ExecError::Internal { site: m })?;
+                        phase2.run(tid, wrt)
+                    });
+                };
+                if tid == 0 {
+                    first = Some(work);
+                } else {
+                    scope.spawn(work);
+                }
+            }
+            if let Some(mut work) = first {
+                work();
             }
         });
+        let phase2_wall = (self.exec_start.elapsed())
+            .saturating_sub(Duration::from_nanos(loop_end.load(Ordering::Relaxed)));
 
         // Joins in-flight compiles (no detached-thread leak: their trace
         // events and calibration feedback land before the report is read).
@@ -794,62 +846,77 @@ impl PipelineRun<'_> {
             report.trace.extend(t);
         }
 
-        self.finalize_sink(state, &mut worker_rts)
+        let host_start = Instant::now();
+        self.finalize_sink(state, phase2, &mut worker_rts);
+        if let Some(s) = report.sched.last_mut() {
+            s.finalize = phase2_wall + host_start.elapsed();
+        }
+        Ok(())
     }
 
-    /// Pipeline finalize (the "queryStart" host side).
+    /// The calling thread's share of the sink finalization, once every
+    /// worker has finished both phases: publish the sink's result into the
+    /// query state (the "queryStart" host side of the next pipelines).
     fn finalize_sink(
         &self,
         state: &mut QueryState,
+        phase2: SinkPhase2<'_>,
         worker_rts: &mut [Box<WorkerRt>],
-    ) -> Result<(), ExecError> {
+    ) {
         let plan = self.plan;
         let pipeline = &plan.pipelines[self.pid];
-        match &pipeline.sink {
-            Sink::BuildJoin { ht, keys, payload } => {
-                let bufs: Vec<Vec<u64>> =
-                    worker_rts.iter_mut().map(|w| std::mem::take(&mut w.join_bufs[*ht])).collect();
-                let table = JoinHt::build(keys.len(), payload.len(), &bufs);
-                let spec = &plan.join_hts[*ht];
-                state.slots[spec.state_slot] = table.buckets.as_ptr() as u64;
+        match phase2 {
+            SinkPhase2::Join { ht, build, .. } => {
+                let arenas =
+                    worker_rts.iter_mut().map(|w| std::mem::take(&mut w.join_bufs[ht])).collect();
+                let build = build.into_inner().flatten().expect("worker 0 allocated the buckets");
+                let table = build.finish(arenas);
+                let spec = &plan.join_hts[ht];
+                state.slots[spec.state_slot] = table.buckets_ptr();
                 state.slots[spec.state_slot + 1] = table.mask;
-                state.join_hts[*ht] = Some(table);
+                state.join_hts[ht] = Some(table);
             }
-            Sink::BuildAgg { agg, .. } => {
-                let spec = &plan.aggs[*agg];
-                let tables: Vec<crate::runtime::AggTable> = worker_rts
-                    .iter_mut()
-                    .map(|w| {
-                        let fresh = crate::runtime::AggTable::new(spec.nkeys, &spec.aggs);
-                        std::mem::replace(&mut w.agg_tables[*agg], fresh)
-                    })
-                    .collect();
-                let rows = merge_agg_tables(&tables, spec.nkeys, &spec.aggs)?;
+            SinkPhase2::Agg { agg, runs, merged, .. } => {
+                // The thread-local tables are consumed: free them before
+                // the partitions are concatenated.
+                drop(runs);
+                let parts: Vec<Vec<u64>> =
+                    merged.into_iter().filter_map(OnceLock::into_inner).collect();
+                let mut rows = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+                for part in parts {
+                    rows.extend_from_slice(&part);
+                }
+                let spec = &plan.aggs[agg];
                 let width = spec.nkeys + spec.aggs.len();
                 let nrows = rows.len().checked_div(width).unwrap_or(0);
-                state.agg_rows[*agg] = rows;
-                state.slots[spec.rows_slot] = state.agg_rows[*agg].as_ptr() as u64;
+                state.agg_rows[agg] = rows;
+                state.slots[spec.rows_slot] = state.agg_rows[agg].as_ptr() as u64;
                 state.slots[spec.rows_slot + 1] = nrows as u64;
             }
-            Sink::Materialize { mat } => {
-                let spec = &plan.mats[*mat];
-                let mut rows: Vec<u64> = Vec::new();
-                for w in worker_rts.iter_mut() {
-                    rows.append(&mut w.mat_bufs[*mat]);
+            SinkPhase2::None => match &pipeline.sink {
+                Sink::Materialize { mat } => {
+                    let spec = &plan.mats[*mat];
+                    let mut rows: Vec<u64> = Vec::new();
+                    for w in worker_rts.iter_mut() {
+                        rows.append(&mut w.mat_bufs[*mat]);
+                    }
+                    if let Some((keys, limit)) = &spec.sort {
+                        sort_rows(&mut rows, spec.width, keys, *limit);
+                    }
+                    state.mat_rows[*mat] = rows;
+                    state.slots[spec.rows_slot] = state.mat_rows[*mat].as_ptr() as u64;
+                    state.slots[spec.rows_slot + 1] =
+                        (state.mat_rows[*mat].len() / spec.width.max(1)) as u64;
                 }
-                if let Some((keys, limit)) = &spec.sort {
-                    sort_rows(&mut rows, spec.width, keys, *limit);
+                Sink::Emit => {
+                    for w in worker_rts.iter_mut() {
+                        state.out_rows.append(&mut w.out_buf);
+                    }
                 }
-                state.mat_rows[*mat] = rows;
-                state.slots[spec.rows_slot] = state.mat_rows[*mat].as_ptr() as u64;
-                state.slots[spec.rows_slot + 1] =
-                    (state.mat_rows[*mat].len() / spec.width.max(1)) as u64;
-            }
-            Sink::Emit => {
-                for w in worker_rts.iter_mut() {
-                    state.out_rows.append(&mut w.out_buf);
+                Sink::BuildJoin { .. } | Sink::BuildAgg { .. } => {
+                    unreachable!("join and aggregation sinks finalize in parallel")
                 }
-            }
+            },
         }
 
         // A root sort materialises; expose it as the output.
@@ -858,7 +925,175 @@ impl PipelineRun<'_> {
                 state.out_rows = std::mem::take(&mut state.mat_rows[*mat]);
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Sink finalization, phase 2 (DESIGN §5)
+// ---------------------------------------------------------------------------
+
+/// The shared state of a sink's second phase. Each worker hands its
+/// thread-local part over at the end of its morsel loop
+/// ([`hand_over`](Self::hand_over)), waits at the pipeline's
+/// [`PhaseBarrier`], and then does its share ([`run`](Self::run)).
+enum SinkPhase2<'p> {
+    /// Materialize and Emit sinks only concatenate, on the calling thread.
+    None,
+    /// Every worker links its own arena of entries into one bucket array,
+    /// which worker 0 allocates once the barrier has made the entry count
+    /// known (`None`: the pipeline failed first, nothing to link).
+    Join {
+        ht: usize,
+        nkeys: usize,
+        payload: usize,
+        entries: AtomicUsize,
+        build: OnceLock<Option<JoinBuild>>,
+    },
+    /// Worker `p` merges hash partition `p` of every worker's table.
+    Agg {
+        agg: usize,
+        aggs: &'p [AggFunc],
+        runs: Vec<OnceLock<AggRun>>,
+        merged: Vec<OnceLock<Vec<u64>>>,
+    },
+}
+
+impl<'p> SinkPhase2<'p> {
+    fn new(plan: &'p PhysicalPlan, pid: usize, threads: usize) -> SinkPhase2<'p> {
+        match &plan.pipelines[pid].sink {
+            Sink::BuildJoin { ht, keys, payload } => SinkPhase2::Join {
+                ht: *ht,
+                nkeys: keys.len(),
+                payload: payload.len(),
+                entries: AtomicUsize::new(0),
+                build: OnceLock::new(),
+            },
+            Sink::BuildAgg { agg, .. } => SinkPhase2::Agg {
+                agg: *agg,
+                aggs: &plan.aggs[*agg].aggs,
+                runs: (0..threads).map(|_| OnceLock::new()).collect(),
+                merged: (0..threads).map(|_| OnceLock::new()).collect(),
+            },
+            Sink::Materialize { .. } | Sink::Emit => SinkPhase2::None,
+        }
+    }
+
+    /// Whether the sink has a parallel phase (and so a barrier).
+    fn parallel(&self) -> bool {
+        !matches!(self, SinkPhase2::None)
+    }
+
+    /// End of phase 1 on worker `tid`, before the barrier.
+    fn hand_over(&self, tid: usize, wrt: &mut WorkerRt) {
+        match self {
+            SinkPhase2::Join { ht, nkeys, payload, entries, .. } => {
+                // The arena becomes part of the table: drop its growth slack.
+                let arena = &mut wrt.join_bufs[*ht];
+                arena.shrink_to_fit();
+                // Read by worker 0 after the barrier, whose AcqRel arrival
+                // count orders this add before that read.
+                entries.fetch_add(arena.len() / (1 + nkeys + payload), Ordering::Relaxed);
+            }
+            SinkPhase2::Agg { agg, runs, .. } => {
+                // No generated code runs on this worker any more: an empty
+                // placeholder takes the table's place.
+                let table = std::mem::replace(&mut wrt.agg_tables[*agg], AggTable::new(0, &[]));
+                let _ = runs[tid].set(AggRun::new(table, runs.len()));
+            }
+            SinkPhase2::None => {}
+        }
+    }
+
+    /// Worker 0's step right after the barrier: set up what all workers
+    /// share in phase 2. It always publishes something, even when the
+    /// pipeline `failed` or the set-up panics, so waiting workers go on.
+    fn lead(&self, failed: bool) -> Result<(), ExecError> {
+        let SinkPhase2::Join { nkeys, payload, entries, build, .. } = self else { return Ok(()) };
+        let made = match failed {
+            true => Ok(None),
+            false => std::panic::catch_unwind(|| {
+                Some(JoinBuild::new(*nkeys, *payload, entries.load(Ordering::Relaxed)))
+            }),
+        };
+        let panicked = made.is_err();
+        let _ = build.set(made.unwrap_or(None));
+        if panicked {
+            std::panic::resume_unwind(Box::new("join bucket array"));
+        }
         Ok(())
+    }
+
+    /// Worker `tid`'s share of phase 2, after the barrier.
+    fn run(&self, tid: usize, wrt: &mut WorkerRt) -> Result<(), ExecError> {
+        match self {
+            SinkPhase2::Join { ht, build, .. } => {
+                spin_until(|| build.get().is_some());
+                if let Some(build) = build.wait() {
+                    build.link(&mut wrt.join_bufs[*ht]);
+                }
+            }
+            SinkPhase2::Agg { aggs, runs, merged, .. } => {
+                let runs: Vec<&AggRun> =
+                    runs.iter().map(|r| r.get().expect("every worker handed over")).collect();
+                let _ = merged[tid].set(merge_agg_partition(&runs, tid, aggs)?);
+            }
+            SinkPhase2::None => {}
+        }
+        Ok(())
+    }
+}
+
+/// How long a worker spins before it blocks, waiting on the other workers
+/// of its pipeline: the morsel dispenser makes them finish close together.
+const SPIN: Duration = Duration::from_micros(50);
+
+/// Spin until `ready()` or for [`SPIN`]; whether it became ready.
+fn spin_until(ready: impl Fn() -> bool) -> bool {
+    let t0 = Instant::now();
+    while t0.elapsed() < SPIN {
+        for _ in 0..64 {
+            if ready() {
+                return true;
+            }
+            std::hint::spin_loop();
+        }
+    }
+    ready()
+}
+
+/// A one-shot barrier for the workers of one pipeline: waiters spin
+/// briefly, then block.
+struct PhaseBarrier {
+    arrived: AtomicUsize,
+    n: usize,
+    lock: std::sync::Mutex<()>,
+    open: std::sync::Condvar,
+}
+
+impl PhaseBarrier {
+    fn new(n: usize) -> PhaseBarrier {
+        PhaseBarrier {
+            arrived: AtomicUsize::new(0),
+            n,
+            lock: std::sync::Mutex::new(()),
+            open: std::sync::Condvar::new(),
+        }
+    }
+
+    fn wait(&self) {
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
+            let _g = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+            self.open.notify_all();
+            return;
+        }
+        let all_in = || self.arrived.load(Ordering::Acquire) == self.n;
+        if spin_until(all_in) {
+            return;
+        }
+        let mut g = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+        while !all_in() {
+            g = self.open.wait(g).unwrap_or_else(|e| e.into_inner());
+        }
     }
 }
 

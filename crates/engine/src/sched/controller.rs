@@ -165,6 +165,11 @@ pub struct PipelineSchedReport {
     pub degraded: u64,
     /// The model the controller decided with.
     pub model: CostModel,
+    /// Wall time of the sink's finalization: from the moment the last
+    /// worker left the morsel loop until the sink's result was published
+    /// (the parallel phase 2 plus the calling thread's share; joining
+    /// in-flight compiles is not included).
+    pub finalize: Duration,
 }
 
 /// Everything a pipeline's controller needs that outlives the worker loop
@@ -463,6 +468,7 @@ impl AdaptiveController {
             calibrated: self.calibrated,
             degraded: self.degraded.load(Ordering::Relaxed),
             model: self.model,
+            finalize: Duration::ZERO,
         }
     }
 }

@@ -7,7 +7,7 @@
 
 use aqe_engine::cancel::{CancelKind, CancelToken};
 use aqe_engine::exec::{ExecMode, ExecOptions};
-use aqe_engine::plan::{AggFunc, AggSpec, ArithOp, PExpr, PlanNode};
+use aqe_engine::plan::{AggFunc, AggSpec, ArithOp, JoinKind, PExpr, PlanNode};
 use aqe_engine::session::Engine;
 use aqe_storage::{Column, DataType, Table};
 use aqe_vm::interp::ExecError;
@@ -237,4 +237,115 @@ fn a_pre_poisoned_token_refuses_before_any_work() {
     assert_eq!(engine.server_stats().cancelled, 1);
     // Nothing was compiled or cached for the refused run.
     assert_eq!(engine.cache_stats().insertions, 0);
+}
+
+/// `keyed` has `rows / 2` distinct keys in `k`; `small` probes 1000 of them.
+fn keyed_catalog(rows: i64) -> aqe_storage::Catalog {
+    let mut cat = aqe_storage::Catalog::new();
+    cat.add(Table::new(
+        "keyed",
+        vec![
+            ("k", DataType::Int64, Column::I64((0..rows).map(|v| v * 7919 % (rows / 2)).collect())),
+            ("y", DataType::Int64, Column::I64((0..rows).map(|v| (v * 7) % 997).collect())),
+        ],
+    ));
+    cat.add(Table::new("small", vec![("k", DataType::Int64, Column::I64((0..1000).collect()))]));
+    cat
+}
+
+/// Sinks with a parallel second phase, each dominating its plan's run
+/// time: a group-by with `rows / 2` groups, and a join whose build side
+/// is the whole `keyed` table (the probe side is 1000 rows).
+fn phase2_plans() -> [(&'static str, PlanNode); 2] {
+    let scan = || PlanNode::Scan { table: "keyed".into(), cols: vec![0, 1], filter: None };
+    let group_by = PlanNode::HashAgg {
+        input: Box::new(scan()),
+        group_by: vec![0],
+        aggs: (0..8)
+            .map(|k| AggSpec {
+                func: AggFunc::SumI,
+                arg: Some(PExpr::arith(
+                    ArithOp::Add,
+                    true,
+                    false,
+                    PExpr::arith(ArithOp::Mul, true, false, PExpr::Col(1), PExpr::ConstI(k + 1)),
+                    PExpr::Col(0),
+                )),
+            })
+            .collect(),
+    };
+    let join = PlanNode::HashAgg {
+        input: Box::new(PlanNode::HashJoin {
+            build: Box::new(scan()),
+            probe: Box::new(PlanNode::Scan { table: "small".into(), cols: vec![0], filter: None }),
+            build_keys: vec![0],
+            probe_keys: vec![0],
+            build_payload: vec![1],
+            kind: JoinKind::Inner,
+        }),
+        group_by: vec![],
+        aggs: vec![
+            AggSpec { func: AggFunc::CountStar, arg: None },
+            AggSpec { func: AggFunc::SumI, arg: Some(PExpr::Col(1)) },
+        ],
+    };
+    [("group-by", group_by), ("join build", join)]
+}
+
+fn sorted(rows: &[u64], width: usize) -> Vec<Vec<u64>> {
+    let mut out: Vec<Vec<u64>> = rows.chunks_exact(width).map(|r| r.to_vec()).collect();
+    out.sort();
+    out
+}
+
+/// Deadlines landing at several points of an aggregation-sink pipeline and
+/// of a join-build pipeline, whose workers meet at a barrier before the
+/// sink's parallel phase: each run returns promptly with
+/// `ExecError::Cancelled` (or, when the deadline lands after the last
+/// check, the right rows), none hangs at the barrier, and the prepared
+/// query runs correctly afterwards.
+#[test]
+fn cancels_during_two_phase_sinks_return_typed_errors_and_leave_the_query_reusable() {
+    let engine = Arc::new(Engine::new(keyed_catalog(ROWS / 2)));
+    for (name, plan) in phase2_plans() {
+        let prepared = Arc::new(engine.session().prepare(&plan, vec![]));
+        let width = match &plan {
+            PlanNode::HashAgg { group_by, aggs, .. } => group_by.len() + aggs.len(),
+            _ => unreachable!(),
+        };
+        let t0 = Instant::now();
+        let (reference, _) =
+            engine.session().execute_with(&prepared, &slow_opts(CancelToken::new())).unwrap();
+        let full = t0.elapsed();
+        let reference = sorted(&reference.rows, width);
+
+        let mut cancelled = 0;
+        for frac in [0.1, 0.4, 0.7, 0.9, 0.99] {
+            let token = CancelToken::with_deadline(Instant::now() + full.mul_f64(frac));
+            let (tx, rx) = std::sync::mpsc::channel();
+            {
+                let engine = engine.clone();
+                let prepared = prepared.clone();
+                let opts = slow_opts(token);
+                std::thread::spawn(move || {
+                    let _ = tx.send(engine.session().execute_with(&prepared, &opts));
+                });
+            }
+            let limit = full * 4 + Duration::from_secs(10);
+            match rx.recv_timeout(limit).expect("cancelled run hung (phase-2 barrier?)") {
+                Err(ExecError::Cancelled { reason }) => {
+                    assert_eq!(reason, "deadline exceeded", "{name} at {frac}");
+                    cancelled += 1;
+                }
+                Ok((rows, _)) => assert_eq!(sorted(&rows.rows, width), reference, "{name}"),
+                Err(other) => panic!("{name} at {frac}: expected Cancelled, got {other:?}"),
+            }
+        }
+        assert!(cancelled > 0, "{name}: no deadline landed mid-run (full run {full:?})");
+
+        let (rows, report) =
+            engine.session().execute_with(&prepared, &slow_opts(CancelToken::new())).unwrap();
+        assert_eq!(sorted(&rows.rows, width), reference, "{name}: rows after the cancels");
+        assert!(!report.cold_build, "{name}: the cancels must not poison the prepared state");
+    }
 }

@@ -7,12 +7,13 @@
 //! abort, never a wrong answer, never a poisoned engine.
 
 use aqe_engine::exec::{ExecMode, ExecOptions};
-use aqe_engine::plan::{AggFunc, AggSpec, ArithOp, CmpOp, PExpr, PlanNode};
+use aqe_engine::plan::{AggFunc, AggSpec, ArithOp, CmpOp, JoinKind, PExpr, PlanNode};
 use aqe_engine::sched::QUARANTINE_SKIPS;
 use aqe_engine::session::Engine;
 use aqe_storage::{tpch, Catalog};
 use aqe_vm::interp::ExecError;
 use std::sync::Mutex;
+use std::time::Duration;
 
 /// The fault schedule is process-global: every test that arms one holds
 /// this lock for its whole body.
@@ -306,5 +307,160 @@ fn adaptive_survives_panicking_compile_jobs() {
         let prepared = session.prepare(&plan, vec![]);
         let (res, _report) = session.execute_with(&prepared, &opts).expect("adaptive completes");
         assert_eq!(res.rows, expect);
+    }
+}
+
+/// Plans whose sinks have a parallel second phase on every worker: a
+/// group-by over `l_orderkey` (one group per order, spread over all merge
+/// partitions) and a join building on `orders`.
+fn phase2_plans() -> [(&'static str, PlanNode); 2] {
+    let group_by = PlanNode::HashAgg {
+        input: Box::new(PlanNode::Scan {
+            table: "lineitem".into(),
+            cols: vec![0, 4],
+            filter: None,
+        }),
+        group_by: vec![0],
+        aggs: vec![
+            AggSpec { func: AggFunc::SumI, arg: Some(PExpr::Col(1)) },
+            AggSpec { func: AggFunc::CountStar, arg: None },
+        ],
+    };
+    let join = PlanNode::HashAgg {
+        input: Box::new(PlanNode::HashJoin {
+            build: Box::new(PlanNode::Scan {
+                table: "orders".into(),
+                cols: vec![0, 1],
+                filter: None,
+            }),
+            probe: Box::new(PlanNode::Scan {
+                table: "lineitem".into(),
+                cols: vec![0, 4],
+                filter: None,
+            }),
+            build_keys: vec![0],
+            probe_keys: vec![0],
+            build_payload: vec![1],
+            kind: JoinKind::Inner,
+        }),
+        group_by: vec![],
+        aggs: vec![
+            AggSpec { func: AggFunc::CountStar, arg: None },
+            AggSpec { func: AggFunc::SumI, arg: Some(PExpr::Col(2)) },
+        ],
+    };
+    [("group-by", group_by), ("join", join)]
+}
+
+/// Rows of an aggregation plan in a canonical order (a group-by's output
+/// order depends on how groups fall into merge partitions and workers).
+fn sorted_rows(plan: &PlanNode, rows: Vec<u64>) -> Vec<Vec<u64>> {
+    let PlanNode::HashAgg { group_by, aggs, .. } = plan else { unreachable!() };
+    let mut out: Vec<Vec<u64>> =
+        rows.chunks_exact(group_by.len() + aggs.len()).map(|r| r.to_vec()).collect();
+    out.sort();
+    out
+}
+
+/// Run `f` on a thread of its own and fail the test if it does not return
+/// within `limit` — a worker stuck at the phase-2 barrier would hang here.
+fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(limit).expect("execution did not return: phase-2 barrier deadlock?")
+}
+
+/// A panic in the second phase of a sink's finalization — on any worker,
+/// at any thread count — fails the query with a typed error naming the
+/// finalize step, never hangs the other workers at the barrier, and the
+/// same prepared query runs correctly once the fault is gone.
+#[test]
+fn phase2_worker_panics_are_contained_and_the_query_reruns() {
+    let _lock = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    quiet_injected_panics();
+    let cat = tpch::generate(0.01);
+    for (name, plan) in phase2_plans() {
+        let expect = sorted_rows(&plan, oracle(&cat, &plan));
+        let engine = std::sync::Arc::new(Engine::new(cat.clone()));
+        let prepared = std::sync::Arc::new(engine.session().prepare(&plan, vec![]));
+        for threads in 1..=4 {
+            let opts = ExecOptions {
+                mode: ExecMode::Bytecode,
+                threads,
+                cache_results: false,
+                ..Default::default()
+            };
+            let armed = aqe_fault::arm("sink_finalize=panic", 5).unwrap();
+            let (e, p, o) = (engine.clone(), prepared.clone(), opts.clone());
+            match within(Duration::from_secs(60), move || e.session().execute_with(&p, &o)) {
+                Err(ExecError::Internal { site }) => {
+                    assert!(site.contains("sink finalize worker"), "{name} x{threads}: {site}")
+                }
+                other => panic!("{name} x{threads}: expected Internal, got {other:?}"),
+            }
+            drop(armed);
+            let (res, _) = engine.session().execute_with(&prepared, &opts).unwrap();
+            assert_eq!(sorted_rows(&plan, res.rows), expect, "{name} x{threads}: rerun");
+        }
+    }
+}
+
+/// An injected phase-2 *error* takes the typed path too, and the next
+/// execution of the same warm statement succeeds.
+#[test]
+fn phase2_worker_error_fails_one_query_then_session_recovers() {
+    let _lock = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    quiet_injected_panics();
+    let cat = tpch::generate(0.01);
+    for (name, plan) in phase2_plans() {
+        let expect = sorted_rows(&plan, oracle(&cat, &plan));
+        let engine = std::sync::Arc::new(Engine::new(cat.clone()));
+        let prepared = std::sync::Arc::new(engine.session().prepare(&plan, vec![]));
+        let opts = ExecOptions {
+            mode: ExecMode::Optimized,
+            threads: 3,
+            cache_results: false,
+            ..Default::default()
+        };
+        let _armed = aqe_fault::arm("sink_finalize=err:1", 1).unwrap();
+        let (e, p, o) = (engine.clone(), prepared.clone(), opts.clone());
+        match within(Duration::from_secs(60), move || e.session().execute_with(&p, &o)) {
+            Err(ExecError::Internal { site }) => {
+                assert!(site.contains("injected fault at sink_finalize"), "{name}: {site}")
+            }
+            other => panic!("{name}: first run must fail with Internal, got {other:?}"),
+        }
+        let (res, report) = engine.session().execute_with(&prepared, &opts).unwrap();
+        assert_eq!(sorted_rows(&plan, res.rows), expect, "{name}: rerun");
+        assert_eq!(report.degraded, 0);
+    }
+}
+
+/// Morsel workers that panic at random points of the morsel loop still
+/// reach the phase-2 barrier: every run of a group-by or join plan ends
+/// in a correct result or a typed error, at 2–4 threads, and none hangs.
+#[test]
+fn morsel_worker_panics_before_the_barrier_never_deadlock() {
+    let _lock = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    quiet_injected_panics();
+    let cat = tpch::generate(0.01);
+    for (name, plan) in phase2_plans() {
+        let expect = sorted_rows(&plan, oracle(&cat, &plan));
+        for seed in [3u64, 11] {
+            let _armed = aqe_fault::arm("worker=panic:0.1", seed).unwrap();
+            for threads in 2..=4 {
+                let (c, p) = (cat.clone(), plan.clone());
+                let run = move || run_once(&c, &p, ExecMode::Bytecode, threads).map(|r| r.0);
+                match within(Duration::from_secs(60), run) {
+                    Ok(rows) => assert_eq!(sorted_rows(&plan, rows), expect, "{name} seed {seed}"),
+                    Err(ExecError::Internal { site }) => {
+                        assert!(site.contains("worker"), "{name}: panic surfaced from {site}")
+                    }
+                    Err(other) => panic!("{name}: expected Internal, got {other}"),
+                }
+            }
+        }
     }
 }

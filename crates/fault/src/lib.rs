@@ -37,6 +37,7 @@
 //! | `simd_compile`   | SIMD backend assembly (session + controller)|
 //! | `bc_translate`   | bytecode translation in the session        |
 //! | `worker`         | morsel-worker loop, once per claim round   |
+//! | `sink_finalize`  | each worker's share of a sink's phase 2    |
 //! | `compile_job`    | background `CompileJob` thread entry       |
 //! | `server_accept`  | server accept path                         |
 //! | `server_read`    | per-connection read readiness              |

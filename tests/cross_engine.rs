@@ -131,3 +131,92 @@ fn sql_frontend_to_adaptive_execution_end_to_end() {
     let v = execute_volcano(&cat, &bound.root, &phys).unwrap();
     assert_eq!(res.rows, v);
 }
+
+/// Sinks big enough that phase 2 of their finalization does real work on
+/// every worker: a group-by with more groups per worker than one morsel
+/// holds rows (each worker's table grows many times and the merge spreads
+/// over all partitions) and a join whose build side has 200 000 rows with
+/// duplicate keys. Every mode at 1–4 threads against Volcano.
+#[test]
+fn large_sinks_agree_with_volcano_at_every_thread_count() {
+    use aqe::engine::plan::{AggFunc, AggSpec, JoinKind, PExpr, PlanNode};
+    use aqe::storage::{Catalog, Column, DataType, Table};
+    const FACTS: i64 = 320_000;
+    const GROUPS: i64 = 300_000;
+    const DIM: i64 = 200_000;
+    let mut cat = Catalog::new();
+    cat.add(Table::new(
+        "facts",
+        vec![
+            ("k", DataType::Int64, Column::I64((0..FACTS).map(|i| i * 7919 % GROUPS).collect())),
+            ("v", DataType::Int64, Column::I64((0..FACTS).map(|i| i % 1000 - 300).collect())),
+            (
+                "f",
+                DataType::Float64,
+                Column::F64((0..FACTS).map(|i| (i % 97) as f64 * 0.5).collect()),
+            ),
+        ],
+    ));
+    cat.add(Table::new(
+        "dim",
+        vec![
+            ("dk", DataType::Int64, Column::I64((0..DIM).map(|i| i * 3 % 450_000).collect())),
+            ("dv", DataType::Int64, Column::I64((0..DIM).collect())),
+        ],
+    ));
+    let scan =
+        |table: &str, cols: Vec<usize>| PlanNode::Scan { table: table.into(), cols, filter: None };
+    let agg = |func, col: Option<usize>| AggSpec { func, arg: col.map(PExpr::Col) };
+    let group_by = PlanNode::HashAgg {
+        input: Box::new(scan("facts", vec![0, 1, 2])),
+        group_by: vec![0],
+        aggs: vec![
+            agg(AggFunc::SumI, Some(1)),
+            agg(AggFunc::CountStar, None),
+            agg(AggFunc::MinI, Some(1)),
+            agg(AggFunc::MaxF, Some(2)),
+            agg(AggFunc::SumF, Some(2)),
+        ],
+    };
+    let join = PlanNode::HashAgg {
+        input: Box::new(PlanNode::HashJoin {
+            build: Box::new(scan("dim", vec![0, 1])),
+            probe: Box::new(scan("facts", vec![0, 1])),
+            build_keys: vec![0],
+            probe_keys: vec![0],
+            build_payload: vec![1],
+            kind: JoinKind::Inner,
+        }),
+        group_by: vec![1],
+        aggs: vec![agg(AggFunc::CountStar, None), agg(AggFunc::SumI, Some(2))],
+    };
+
+    let engine = Engine::new(cat.clone());
+    let session = engine.session();
+    for (name, root) in [("group-by", group_by), ("join", join)] {
+        let phys = decompose(&cat, &root, vec![]);
+        let width = phys.output_tys.len();
+        let volcano = normalized(&execute_volcano(&cat, &root, &phys).unwrap(), width, false);
+        assert!(volcano.len() >= 1000, "{name}: {} rows", volcano.len());
+        let prepared = session.prepare_plan(phys);
+        for mode in [
+            ExecMode::NaiveIr,
+            ExecMode::Bytecode,
+            ExecMode::Unoptimized,
+            ExecMode::Optimized,
+            ExecMode::Native,
+            ExecMode::Simd,
+            ExecMode::Adaptive,
+        ] {
+            for threads in 1..=4 {
+                let opts =
+                    ExecOptions { mode, threads, cache_results: false, ..Default::default() };
+                let (res, _) = session
+                    .execute_with(&prepared, &opts)
+                    .unwrap_or_else(|e| panic!("{name} {mode:?} x{threads}: {e}"));
+                let got = normalized(&res.rows, width, false);
+                assert_eq!(got, volcano, "{name} {mode:?} x{threads} disagrees with Volcano");
+            }
+        }
+    }
+}
